@@ -17,17 +17,7 @@ from .apply import (
     build_wy,
     wy_chain,
 )
-from .dense import (
-    HouseholderQR,
-    ShapeError,
-    accumulate_q,
-    as_matrix,
-    flip180,
-    householder_qr,
-    lq,
-    matmul,
-    orthogonality_defect,
-)
+from .dense import ShapeError, as_matrix, flip180, orthogonality_defect
 from .factor import (
     BandedReflectors,
     CompactSubspaceFactor,
@@ -67,14 +57,9 @@ __all__ = [
     "apply_transpose",
     "build_wy",
     "wy_chain",
-    "HouseholderQR",
     "ShapeError",
-    "accumulate_q",
     "as_matrix",
     "flip180",
-    "householder_qr",
-    "lq",
-    "matmul",
     "orthogonality_defect",
     "BandedReflectors",
     "CompactSubspaceFactor",

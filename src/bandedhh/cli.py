@@ -75,6 +75,11 @@ def _fail(message: str) -> int:
 
 
 def _relative_residual(recon: np.ndarray, a: np.ndarray) -> float:
+    # Dividing by max|a| first keeps both norms clear of underflow and
+    # overflow at any finite magnitude.
+    peak = np.abs(a).max(initial=0.0)
+    if peak:
+        recon, a = recon / peak, a / peak
     scale = np.linalg.norm(a)
     resid = np.linalg.norm(recon - a)
     return float(resid / scale) if scale else float(resid)
@@ -111,10 +116,10 @@ def _cmd_factor(args) -> int:
             print("self-check: FAILED (re-serialization differs)", file=sys.stderr)
             return 2
         reread_residual = _relative_residual(reconstruct_a(reread), a)
-        if reread_residual > SELF_CHECK_TOLERANCE:
+        if not reread_residual <= SELF_CHECK_TOLERANCE:  # NaN fails too
             print(
-                f"self-check: FAILED (residual {reread_residual:.3e} > "
-                f"{SELF_CHECK_TOLERANCE:.0e})",
+                f"self-check: FAILED (residual {reread_residual:.3e}, "
+                f"tolerance {SELF_CHECK_TOLERANCE:.0e})",
                 file=sys.stderr,
             )
             return 2

@@ -1,7 +1,16 @@
-"""Dense building blocks: validation, the 180 degree flip, Householder QR and LQ.
+"""Dense building blocks: validation and the 180 degree flip.
 
 Matrices are plain 2-D float64 numpy arrays in row-major order. Everything
 here is a pure function; inputs are never mutated.
+
+There is no Householder kernel here. The LQ and QR steps of the
+factorization are LAPACK dgeqrf, reached through np.linalg.qr (see
+factor.factor_tall), and the reflectors come out of LAPACK dlarfg with
+the convention the stored factors use: v = x + sign(x[0]) ||x|| e1,
+scaled so its leading component is an implicit 1, and beta = 2 / (v'v).
+sign() reads the sign bit, so a -0.0 pivot counts as negative. A column
+whose part below the pivot is exactly zero gets beta = 0 and is left
+untouched.
 """
 
 import numpy as np
@@ -10,12 +19,7 @@ __all__ = [
     "ShapeError",
     "as_matrix",
     "flip180",
-    "matmul",
     "orthogonality_defect",
-    "HouseholderQR",
-    "householder_qr",
-    "accumulate_q",
-    "lq",
 ]
 
 
@@ -43,115 +47,8 @@ def flip180(a) -> np.ndarray:
     return np.ascontiguousarray(a[::-1, ::-1])
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def orthogonality_defect(q) -> float:
     """Frobenius norm of q'q - I, zero iff the columns are orthonormal."""
     q = as_matrix(q)
     n = q.shape[1]
     return float(np.linalg.norm(q.T @ q - np.eye(n)))
-
-
-class HouseholderQR:
-    """Compact output of a Householder QR factorization.
-
-    vectors[i] is the tail of the i-th reflection vector; the leading
-    component is an implicit 1 at row i. betas[i] = 2 / (v_i' v_i), or
-    exactly 0.0 for a skipped reflection (identity). r carries exact zeros
-    below its diagonal.
-    """
-
-    def __init__(self, vectors: list, betas: np.ndarray, r: np.ndarray):
-        self.vectors = vectors
-        self.betas = betas
-        self.r = r
-
-
-def _qr_core(r: np.ndarray) -> HouseholderQR:
-    # Factors r in place. Works for any shape; runs min(m, n) steps and
-    # skips a step (beta = 0) whenever the subdiagonal part of the pivot
-    # column is exactly zero, leaving that column untouched.
-    m, n = r.shape
-    steps = min(m, n)
-    betas = np.zeros(steps)
-    tails = []
-    for i in range(steps):
-        x = r[i:, i]
-        tail = x[1:]
-        if not tail.any():
-            tails.append(np.zeros(m - i - 1))
-            continue
-        norm = np.linalg.norm(x)
-        s = 1.0 if x[0] >= 0.0 else -1.0
-        t = tail / (x[0] + s * norm)
-        beta = 2.0 / (1.0 + t @ t)
-        betas[i] = beta
-        tails.append(t)
-        if i + 1 < n:
-            sub = r[i:, i + 1:]
-            wvec = beta * (sub[0] + t @ sub[1:])
-            sub[0] -= wvec
-            sub[1:] -= np.outer(t, wvec)
-        r[i, i] = -s * norm
-        r[i + 1:, i] = 0.0
-    return HouseholderQR(tails, betas, r)
-
-
-def householder_qr(a) -> HouseholderQR:
-    """Householder QR of a tall matrix: a = H_1 H_2 ... H_n (R over 0).
-
-    Sign convention: v = x + sign(x[0]) ||x|| e1 with sign(0) = +1, then
-    normalized so the stored leading component is 1. A pivot column whose
-    subdiagonal part is exactly zero is skipped (beta = 0, column left
-    untouched), so triangular input factors with all betas zero.
-    """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        raise ShapeError(f"householder_qr requires m >= n, got {m} x {n}")
-    return _qr_core(a.copy())
-
-
-def accumulate_q(qr: HouseholderQR, n_cols: int | None = None) -> np.ndarray:
-    """Materialize the first n_cols columns of Q = H_1 H_2 ... H_k densely.
-
-    Defaults to the reduced Q with min(m, n) columns.
-    """
-    m = qr.r.shape[0]
-    if n_cols is None:
-        n_cols = min(m, qr.r.shape[1])
-    q = np.eye(m, n_cols)
-    for i in range(len(qr.vectors) - 1, -1, -1):
-        beta = qr.betas[i]
-        if beta == 0.0:
-            continue
-        t = qr.vectors[i]
-        sub = q[i:]
-        wvec = beta * (sub[0] + t @ sub[1:])
-        sub[0] -= wvec
-        sub[1:] -= np.outer(t, wvec)
-    return q
-
-
-def lq(a) -> tuple[np.ndarray, np.ndarray]:
-    """LQ factorization a = l q with l lower-trapezoidal, q orthonormal rows.
-
-    Computed as Householder QR of the transpose followed by transposition,
-    so one audited kernel serves both factorizations. l has exact zeros
-    above its diagonal. For a p x q input, l is p x min(p, q) and q is
-    min(p, q) x q.
-    """
-    a = as_matrix(a)
-    p, q_dim = a.shape
-    j = min(p, q_dim)
-    out = _qr_core(np.ascontiguousarray(a.T))
-    l_factor = np.ascontiguousarray(out.r[:j].T)
-    q_factor = np.ascontiguousarray(accumulate_q(out, j).T)
-    return l_factor, q_factor

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .dense import ShapeError, as_matrix, flip180, householder_qr, lq
+from .dense import ShapeError, as_matrix, flip180
 
 __all__ = [
     "Placement",
@@ -119,6 +119,17 @@ def factor_tall(a) -> CompactSubspaceFactor:
     is confined to the band and its tail fits in m - n stored entries.
     B is R times the rotated Q.
 
+    Both Householder steps are LAPACK dgeqrf through np.linalg.qr: the LQ
+    is the reduced QR of the transpose, and the banded QR reads its
+    reflectors straight from mode="raw". dlarfg scales its norms, so any
+    finite input factors without overflow or underflow. Sign convention:
+    v = x + sign(x[0]) ||x|| e1 with sign() read from the sign bit, so a
+    -0.0 pivot counts as negative; a column that is already zero below
+    its pivot gets beta = 0 (the identity).
+
+    Results are bit-identical for the same input on the same numpy,
+    LAPACK and BLAS build with the same BLAS thread count.
+
     Square input short-circuits to G = I and B = a, bit-exactly.
     """
     a = as_matrix(a)
@@ -132,15 +143,17 @@ def factor_tall(a) -> CompactSubspaceFactor:
         g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
         return CompactSubspaceFactor(g, np.zeros((0, 0)), Placement.TOP)
     w = m - n
-    l_factor, q_factor = lq(flip180(a))
-    out = householder_qr(flip180(l_factor))
-    free = np.zeros((n, w))
-    for i, tail in enumerate(out.vectors):
-        # structural zeros past the band are exact by construction
-        assert not tail[w:].any(), "reflection vector leaked outside the band"
-        free[i] = tail[:w]
-    g = BandedReflectors(m, free, out.betas)
-    core = out.r[:n] @ flip180(q_factor)
+    # LQ of flip180(a) from the QR of its transpose: L = R', Q = Q'.
+    q_lq, r_lq = np.linalg.qr(flip180(a).T)
+    # h is LAPACK's output transposed: row i holds column i of R up to the
+    # diagonal, then the tail of reflection i. The first w tail entries are
+    # the free entries; the rest, h[i, i+1+w:], are structural zeros and
+    # exact by construction.
+    h, betas = np.linalg.qr(flip180(r_lq.T), mode="raw")
+    assert not np.triu(h[:, w + 1 :]).any(), "reflection vector leaked outside the band"
+    rows = np.arange(n)[:, None]
+    g = BandedReflectors(m, h[rows, rows + 1 + np.arange(w)], betas)
+    core = np.triu(h[:, :n].T) @ flip180(q_lq.T)
     return CompactSubspaceFactor(g, core, Placement.TOP)
 
 

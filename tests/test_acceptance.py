@@ -39,6 +39,10 @@ def _random(m, n, seed):
 
 
 def _rel_err(recon, a):
+    # scale by max|a| first so neither norm underflows or overflows
+    peak = np.abs(a).max(initial=0.0)
+    if peak:
+        recon, a = recon / peak, a / peak
     scale = np.linalg.norm(a)
     return np.linalg.norm(recon - a) / scale if scale else np.linalg.norm(recon - a)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandedhh import read_matrix, write_matrix
+from bandedhh import cli, read_factor, read_matrix, reconstruct_a, write_matrix
 from bandedhh.cli import main
 
 ORACLE_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "dense_apply_oracle.py"
@@ -53,6 +53,32 @@ class TestFactorCommand:
                      "--self-check"])
         assert code == 0
         assert "self-check: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+    def test_self_check_residual_at_extreme_scale(self, tmp_path, capsys, scale):
+        a = np.random.default_rng(4).standard_normal((12, 5)) * scale
+        write_matrix(a, tmp_path / "a.txt")
+        code = main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf"),
+                     "--self-check"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "self-check: ok" in out
+        residual = float(out.split("residual: ")[1].split()[0])
+        assert np.isfinite(residual) and residual <= 1e-12
+        with open(tmp_path / "a.bhf", "rb") as fh:
+            recon = reconstruct_a(read_factor(fh))
+        if (recon != a).any():
+            assert residual > 0.0
+
+    def test_self_check_fails_on_non_finite_residual(self, tmp_path, capsys, monkeypatch):
+        write_random(tmp_path / "a.txt", 12, 5, 5)
+        monkeypatch.setattr(cli, "reconstruct_a", lambda f: np.full((12, 5), np.nan))
+        code = main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf"),
+                     "--self-check"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "residual: nan" in captured.out
+        assert "self-check: FAILED (residual nan" in captured.err
 
 
 class TestApplyCommand:

@@ -3,14 +3,20 @@ import pytest
 
 from bandedhh import (
     ShapeError,
-    accumulate_q,
+    apply_to_matrix,
     as_matrix,
+    factor_auto,
+    factor_complement,
+    factor_tall,
     flip180,
-    householder_qr,
-    lq,
-    matmul,
     orthogonality_defect,
+    reconstruct_a,
+    reconstruct_g,
 )
+
+
+def rel_err(recon, a):
+    return np.linalg.norm(recon - a) / np.linalg.norm(a)
 
 
 class TestAsMatrix:
@@ -60,27 +66,6 @@ class TestFlip180:
                     assert flipped[i, j] == 0.0
 
 
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 3))
-        assert np.array_equal(matmul(np.eye(4), a), a)
-
-    def test_hand_product(self):
-        out = matmul([[1, 2], [3, 4]], [[1], [1]])
-        assert np.array_equal(out, [[3], [7]])
-
-    def test_transpose_identity(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        assert np.allclose(matmul(a, b).T, matmul(b.T, a.T), atol=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.eye(3), np.eye(4))
-
-
 class TestOrthogonalityDefect:
     def test_identity_is_zero(self):
         assert orthogonality_defect(np.eye(4)) == 0.0
@@ -89,92 +74,116 @@ class TestOrthogonalityDefect:
         assert orthogonality_defect([[2.0, 0.0], [0.0, 1.0]]) == 3.0
 
     def test_qr_q_is_orthonormal(self):
+        # the leading n columns of G span range(a), like the reduced Q of a QR
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((8, 5))
-        q = accumulate_q(householder_qr(a))
+        g = factor_tall(rng.standard_normal((8, 5))).reflectors
+        q = apply_to_matrix(g, np.eye(8, 5))
         assert orthogonality_defect(q) <= 1e-13 * np.sqrt(5)
 
 
 class TestHouseholderQR:
+    """The banded QR stage of factor_tall, LAPACK dgeqrf via np.linalg.qr.
+
+    Its reflectors are the stored free entries and betas; its R times the
+    rotated LQ factor is the core.
+    """
+
     def test_identity_skips_everything(self):
-        out = householder_qr(np.eye(4))
-        assert np.array_equal(out.betas, np.zeros(4))
-        assert np.array_equal(out.r, np.eye(4))
-        for tail in out.vectors:
-            assert not tail.any()
+        f = factor_tall(np.eye(8, 4))
+        assert np.array_equal(f.reflectors.betas, np.zeros(4))
+        assert not f.reflectors.free_entries.any()
+        assert np.array_equal(f.core, np.eye(4))
 
     def test_hand_case_unit_column(self):
         # x = (0, 1): v = x + ||x|| e1 = (1, 1), beta = 1, R = (-1)
-        out = householder_qr([[0.0], [1.0]])
-        assert out.betas[0] == 1.0
-        assert np.array_equal(out.vectors[0], [1.0])
-        assert out.r[0, 0] == -1.0
-        assert out.r[1, 0] == 0.0
+        f = factor_tall([[0.0], [1.0]])
+        assert f.reflectors.betas[0] == 1.0
+        assert np.array_equal(f.reflectors.free_entries, [[1.0]])
+        assert f.core[0, 0] == -1.0
+        assert np.array_equal(reconstruct_a(f), [[0.0], [1.0]])
+
+    def test_negative_zero_pivot_counts_as_negative(self):
+        # the sign comes from the sign bit: x = (-0.0, 1) gives
+        # v = x - ||x|| e1 = (-1, 1), scaled to (1, -1), beta = 1, R = (1)
+        f = factor_tall([[-0.0], [1.0]])
+        assert f.reflectors.betas[0] == 1.0
+        assert np.array_equal(f.reflectors.free_entries, [[-1.0]])
+        assert f.core[0, 0] == 1.0
+        assert np.array_equal(reconstruct_a(f), [[0.0], [1.0]])
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((6, 3))
-        out = householder_qr(a)
-        q = accumulate_q(out, 6)
-        assert np.linalg.norm(q @ out.r - a) <= 1e-13 * np.linalg.norm(a)
+        assert rel_err(reconstruct_a(factor_tall(a)), a) <= 1e-13
 
     def test_r_subdiagonal_exactly_zero(self):
+        # G' a = (B; 0): the rows below the core vanish
         rng = np.random.default_rng(7)
-        out = householder_qr(rng.standard_normal((8, 5)))
-        assert not np.tril(out.r, -1).any()
+        a = rng.standard_normal((8, 5))
+        f = factor_tall(a)
+        gt_a = apply_to_matrix(f.reflectors, a, transpose=True)
+        assert np.linalg.norm(gt_a[5:]) <= 1e-13 * np.linalg.norm(a)
+        assert np.linalg.norm(gt_a[:5] - f.core) <= 1e-13 * np.linalg.norm(a)
 
     def test_beta_matches_vector(self):
         rng = np.random.default_rng(8)
-        out = householder_qr(rng.standard_normal((9, 4)))
-        for tail, beta in zip(out.vectors, out.betas):
-            v = np.concatenate(([1.0], tail))
-            assert beta == pytest.approx(2.0 / (v @ v), rel=1e-15)
+        g = factor_tall(rng.standard_normal((9, 4))).reflectors
+        for tail, beta in zip(g.free_entries, g.betas):
+            assert beta == pytest.approx(2.0 / (1.0 + tail @ tail), rel=1e-15)
 
     def test_wide_input_rejected(self):
-        with pytest.raises(ShapeError):
-            householder_qr(np.zeros((2, 3)))
+        for method in (factor_tall, factor_complement, factor_auto):
+            with pytest.raises(ShapeError):
+                method(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("shape", [(5, 5), (7, 2), (12, 11), (3, 1)])
     def test_reconstruction_sweep(self, shape):
         rng = np.random.default_rng(hash(shape) % 2**32)
         a = rng.standard_normal(shape)
-        out = householder_qr(a)
-        q = accumulate_q(out, shape[0])
-        assert np.linalg.norm(q @ out.r - a) <= 1e-12 * np.linalg.norm(a)
+        f = factor_auto(a)
+        assert rel_err(reconstruct_a(f), a) <= 1e-12
+        assert orthogonality_defect(reconstruct_g(f.reflectors)) <= 1e-13 * np.sqrt(shape[0])
 
 
 class TestLQ:
+    """The LQ stage of factor_tall: the reduced QR of flip180(a)', transposed."""
+
     def test_row_vector(self):
-        l_factor, q = lq([[3.0, 4.0]])
-        assert abs(abs(l_factor[0, 0]) - 5.0) < 1e-15
-        assert np.allclose(l_factor @ q, [[3.0, 4.0]], atol=1e-14)
-        assert np.allclose(np.abs(q), [[0.6, 0.8]], atol=1e-15)
+        # one column: |B| is the column norm and G's first column is a / B
+        f = factor_tall([[3.0], [4.0]])
+        assert abs(abs(f.core[0, 0]) - 5.0) < 1e-15
+        assert np.allclose(reconstruct_a(f), [[3.0], [4.0]], atol=1e-14)
+        g1 = apply_to_matrix(f.reflectors, np.eye(2, 1))
+        assert np.allclose(np.abs(g1), [[0.6], [0.8]], atol=1e-15)
 
     def test_identity_skips(self):
-        l_factor, q = lq(np.eye(3))
-        assert np.array_equal(l_factor, np.eye(3))
-        assert np.array_equal(q, np.eye(3))
+        f = factor_tall(np.eye(6, 3))
+        assert np.array_equal(reconstruct_g(f.reflectors), np.eye(6))
+        assert np.array_equal(reconstruct_a(f), np.eye(6, 3))
 
     def test_wide_reconstruction(self):
+        # the LQ's own QR runs on the wide 3 x 7 transpose
         rng = np.random.default_rng(9)
-        a = rng.standard_normal((3, 7))
-        l_factor, q = lq(a)
-        assert np.linalg.norm(l_factor @ q - a) <= 1e-13 * np.linalg.norm(a)
+        a = rng.standard_normal((7, 3))
+        assert rel_err(reconstruct_a(factor_tall(a)), a) <= 1e-13
 
     def test_tall_reconstruction(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((7, 3))
-        l_factor, q = lq(a)
-        assert l_factor.shape == (7, 3)
-        assert q.shape == (3, 3)
-        assert np.linalg.norm(l_factor @ q - a) <= 1e-13 * np.linalg.norm(a)
+        f = factor_tall(a)
+        assert f.core.shape == (3, 3)
+        assert f.reflectors.free_entries.shape == (3, 4)
+        assert rel_err(reconstruct_a(f), a) <= 1e-13
 
     def test_strict_upper_exactly_zero(self):
+        # L' is upper triangular, so flip180(L) is zero below the band and
+        # every reflector fits in it; factor_tall asserts that bit-exactly
         rng = np.random.default_rng(11)
-        l_factor, _ = lq(rng.standard_normal((4, 6)))
-        assert not np.triu(l_factor, 1).any()
+        for m, n in ((6, 4), (10, 3), (9, 8)):
+            g = factor_tall(rng.standard_normal((m, n))).reflectors
+            assert g.free_entries.shape == (n, m - n)
 
     def test_rows_orthonormal(self):
         rng = np.random.default_rng(12)
-        _, q = lq(rng.standard_normal((4, 9)))
-        assert np.linalg.norm(q @ q.T - np.eye(4)) <= 1e-12
+        g = factor_tall(rng.standard_normal((9, 4))).reflectors
+        assert orthogonality_defect(reconstruct_g(g)) <= 1e-12
