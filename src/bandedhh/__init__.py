@@ -5,7 +5,6 @@ where B is square and G is a product of Householder reflections whose
 vectors share a staircase support, storable in exactly n(m - n) floats.
 """
 
-from ._kernels import HAVE_NUMBA, backend
 from .apply import (
     BlockedWY,
     FlopCounter,
@@ -46,8 +45,6 @@ from .storage import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAVE_NUMBA",
-    "backend",
     "BlockedWY",
     "FlopCounter",
     "apply",

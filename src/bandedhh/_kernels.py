@@ -1,128 +1,106 @@
-"""Hot loops for applying banded reflection products.
+"""The apply engine: one cached, band-compact WY plan behind every G product.
 
-Each kernel exists twice: a numba @njit version and a pure-numpy version.
-The numba path is used when numba imports cleanly; set BANDEDHH_NO_NUMBA=1
-to force the numpy fallback. Both variants stay importable so benchmarks
-can compare them.
+Reflections i = s .. e - 1 of a banded product only touch rows s .. e - 1 + w,
+so the block H_s ... H_{e-1} is I - V T V' with V of size (e - s + w) x
+(e - s) (Schreiber & Van Loan's compact WY form, restricted to the band).
+T comes from T^-1 = diag(1/beta) + striu(V'V) (Joffrain et al., ACM TOMS
+32(2), 2006), computed for a whole stack of blocks with one np.linalg.inv
+call and no loop per reflection. G x applies the blocks last to first, each
+as two matrix-vector products against V and one against T; G' x applies
+them first to last with T'. Both work unchanged on one or many columns.
 
-Kernels mutate their x argument in place and assume float64 C-contiguous
-arrays; the public wrappers in apply.py take care of copies and checks.
+A plan is built once per block size and cached on the BandedReflectors,
+whose arrays are read-only so that it cannot go stale. It costs about one
+more copy of the free entries, k (w + b) floats, plus one b x b triangular T
+(b (b + 1) / 2 nonzeros) per block, held while the factor lives.
 """
 
-import os
+from dataclasses import dataclass
 
 import numpy as np
 
-NUMBA_DISABLED = os.environ.get("BANDEDHH_NO_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via BANDEDHH_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+BLOCK_SIZE = 32
 
 
-def apply_banded_numpy(free, betas, x, forward):
-    """Apply the reflection product (forward) or its transpose to x."""
-    k, w = free.shape
-    order = range(k - 1, -1, -1) if forward else range(k)
-    for i in order:
-        beta = betas[i]
-        if beta == 0.0:
-            continue
-        tail = free[i]
-        seg = x[i + 1 : i + 1 + w]
-        t = beta * (x[i] + tail @ seg)
-        x[i] -= t
-        seg -= t * tail
+@dataclass(frozen=True)
+class BlockedWY:
+    """Reflections start_index .. start_index + b - 1 as I - V T V'.
+
+    v_block is band-compact: its rows are rows start_index ..
+    start_index + b - 1 + w of the full reflection vectors, unit pivots
+    written out, and every row outside that range of those vectors is zero.
+    t_block is b x b upper triangular with the betas on its diagonal; a
+    skipped reflection (beta = 0) has an exactly zero row and column, so it
+    acts as the identity. Both arrays are read-only.
+    """
+
+    v_block: np.ndarray
+    t_block: np.ndarray
+    start_index: int
+
+    @property
+    def block_size(self) -> int:
+        return self.t_block.shape[0]
+
+    def overhead_floats(self) -> int:
+        """Scalars T adds on top of the banded data: b(b + 1)/2."""
+        b = self.block_size
+        return b * (b + 1) // 2
+
+
+def build_blocks(g, start: int, size: int, count: int) -> list[BlockedWY]:
+    """count consecutive blocks of size reflections each, from reflection start."""
+    if count == 0:
+        return []
+    w = g.bandwidth
+    stop = start + count * size
+    # V' row by row: reflection j is [1, tail_j] starting at column j. Rows
+    # of length size + w + 1 holding [1, tail_j, 0 ...], read back end to end
+    # in rows of length size + w, shift row j right by exactly j columns.
+    skewed = np.empty((count, size, size + w + 1))
+    skewed[:, :, 0] = 1.0
+    skewed[:, :, 1 : 1 + w] = g.free_entries[start:stop].reshape(count, size, w)
+    skewed[:, :, 1 + w :] = 0.0
+    vt = skewed.reshape(count, -1)[:, : size * (size + w)].reshape(count, size, size + w)
+    betas = g.betas[start:stop].reshape(count, size)
+    # T = (I + diag(beta) striu(V'V))^-1 diag(beta) is T^-1 = diag(1/beta) +
+    # striu(V'V) rearranged so that beta = 0 needs no division. The matrix
+    # inverted is unit upper triangular, so its inverse keeps an exact unit
+    # diagonal and T[j, j] == beta_j bit for bit.
+    unit = vt @ vt.transpose(0, 2, 1)
+    unit *= betas[:, :, None]
+    unit *= np.triu(np.ones((size, size)), 1)
+    unit += np.eye(size)
+    t = np.linalg.inv(unit) * betas[:, None, :]
+    v = vt.transpose(0, 2, 1)
+    v.flags.writeable = False
+    t.flags.writeable = False
+    return [BlockedWY(v[i], t[i], start + i * size) for i in range(count)]
+
+
+def plan(g, block_size: int = BLOCK_SIZE) -> tuple[BlockedWY, ...]:
+    """The cached WY blocks covering g's reflections, in ascending order.
+
+    The last block is smaller when block_size does not divide the count.
+    """
+    cached = g._plans.get(block_size)
+    if cached is None:
+        full, rest = divmod(g.count, block_size)
+        blocks = build_blocks(g, 0, block_size, full)
+        if rest:
+            blocks += build_blocks(g, full * block_size, rest, 1)
+        cached = g._plans[block_size] = tuple(blocks)
+    return cached
+
+
+def apply_plan(g, x: np.ndarray, transpose: bool, block_size: int = BLOCK_SIZE) -> np.ndarray:
+    """Overwrite x (a vector or a matrix of columns) with G x, or G' x."""
+    w = g.bandwidth
+    blocks = plan(g, block_size)
+    for blk in blocks if transpose else reversed(blocks):
+        s = blk.start_index
+        seg = x[s : s + blk.block_size + w]
+        v = blk.v_block
+        t = blk.t_block.T if transpose else blk.t_block
+        seg -= v @ (t @ (v.T @ seg))
     return x
-
-
-def apply_banded_matrix_numpy(free, betas, xmat, forward):
-    """Column-wise variant of apply_banded_numpy."""
-    k, w = free.shape
-    order = range(k - 1, -1, -1) if forward else range(k)
-    for i in order:
-        beta = betas[i]
-        if beta == 0.0:
-            continue
-        tail = free[i]
-        rows = xmat[i + 1 : i + 1 + w]
-        t = beta * (xmat[i] + tail @ rows)
-        xmat[i] -= t
-        rows -= np.outer(tail, t)
-    return xmat
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def apply_banded_numba(free, betas, x, forward):
-        k, w = free.shape
-        if forward:
-            start, stop, step = k - 1, -1, -1
-        else:
-            start, stop, step = 0, k, 1
-        for i in range(start, stop, step):
-            beta = betas[i]
-            if beta == 0.0:
-                continue
-            t = x[i]
-            for j in range(w):
-                t += free[i, j] * x[i + 1 + j]
-            t *= beta
-            x[i] -= t
-            for j in range(w):
-                x[i + 1 + j] -= t * free[i, j]
-        return x
-
-    @njit(cache=True)
-    def apply_banded_matrix_numba(free, betas, xmat, forward):
-        k, w = free.shape
-        ncols = xmat.shape[1]
-        t = np.empty(ncols)
-        if forward:
-            start, stop, step = k - 1, -1, -1
-        else:
-            start, stop, step = 0, k, 1
-        for i in range(start, stop, step):
-            beta = betas[i]
-            if beta == 0.0:
-                continue
-            for c in range(ncols):
-                t[c] = xmat[i, c]
-            for j in range(w):
-                f = free[i, j]
-                row = i + 1 + j
-                for c in range(ncols):
-                    t[c] += f * xmat[row, c]
-            for c in range(ncols):
-                t[c] *= beta
-                xmat[i, c] -= t[c]
-            for j in range(w):
-                f = free[i, j]
-                row = i + 1 + j
-                for c in range(ncols):
-                    xmat[row, c] -= t[c] * f
-        return xmat
-
-    apply_banded = apply_banded_numba
-    apply_banded_matrix = apply_banded_matrix_numba
-else:
-    apply_banded_numba = None
-    apply_banded_matrix_numba = None
-    apply_banded = apply_banded_numpy
-    apply_banded_matrix = apply_banded_matrix_numpy
-
-
-def backend() -> str:
-    """Name of the active kernel backend, 'numba' or 'numpy'."""
-    return "numba" if HAVE_NUMBA else "numpy"

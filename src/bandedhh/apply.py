@@ -1,17 +1,24 @@
 """Applying banded reflection products to vectors and matrices.
 
-G x costs 4 k w + 2 k flops for k reflections of bandwidth w, a fraction
-of the 2 m n cost of a dense multiply; apply_counted tallies that cost
-exactly. Blocks of consecutive reflections can also be aggregated into the
-I - V T V' form for cache-friendlier application.
+Every product here, with G or with G', runs through one engine: a
+band-compact WY plan (blocks of consecutive reflections in I - V T V'
+form, default block size BLOCK_SIZE = 32), built on first use and cached on
+the BandedReflectors. The plan holds about one more copy of the free
+entries plus b(b + 1)/2 scalars per block while the factor lives; see
+_kernels for the layout.
+
+In the paper's count, G x costs 4 k w + 2 k flops for k reflections of
+bandwidth w, a fraction of the 2 m^2 of a dense multiply. apply_counted
+tallies that per-reflection convention, not the BLAS operations the WY
+engine actually executes.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import BLOCK_SIZE, BlockedWY
 from .dense import ShapeError
 from .factor import BandedReflectors
 
@@ -30,13 +37,14 @@ __all__ = [
 
 @dataclass
 class FlopCounter:
-    """Tally of floating point operations under a fixed convention.
+    """Tally of floating point operations under the paper's convention.
 
-    One reflection of tail width w costs 4w + 2 flops: the dot product
-    exploits the implicit unit pivot (w multiplies, w additions), scaling
-    by beta is 1 multiply, and the update is 1 addition for the pivot plus
-    w multiplies and w additions for the tail. Skipped reflections
-    (beta = 0) cost nothing.
+    The count is per reflection, as if each were applied on its own; it is
+    not the count of operations the blocked engine runs. One reflection of
+    tail width w costs 4w + 2 flops: the dot product exploits the implicit
+    unit pivot (w multiplies, w additions), scaling by beta is 1 multiply,
+    and the update is 1 addition for the pivot plus w multiplies and w
+    additions for the tail. Skipped reflections (beta = 0) cost nothing.
     """
 
     multiplies: int = 0
@@ -57,21 +65,17 @@ def _vector_copy(g: BandedReflectors, x) -> np.ndarray:
 
 
 def apply(g: BandedReflectors, x) -> np.ndarray:
-    """Return G x; reflections are applied in descending index order."""
-    out = _vector_copy(g, x)
-    _kernels.apply_banded(g.free_entries, g.betas, out, True)
-    return out
+    """Return G x; blocks of reflections run from the last to the first."""
+    return _kernels.apply_plan(g, _vector_copy(g, x), transpose=False)
 
 
 def apply_transpose(g: BandedReflectors, y) -> np.ndarray:
-    """Return G' y; reflections are applied in ascending index order."""
-    out = _vector_copy(g, y)
-    _kernels.apply_banded(g.free_entries, g.betas, out, False)
-    return out
+    """Return G' y; blocks of reflections run from the first to the last."""
+    return _kernels.apply_plan(g, _vector_copy(g, y), transpose=True)
 
 
 def apply_counted(g: BandedReflectors, x, counter: FlopCounter) -> np.ndarray:
-    """Same result as apply, adding the exact flop cost to counter."""
+    """Same result as apply, adding the paper's flop count to counter."""
     out = apply(g, x)
     per_side = 2 * g.bandwidth + 1
     active = int(np.count_nonzero(g.betas))
@@ -87,93 +91,38 @@ def apply_to_matrix(g: BandedReflectors, a, transpose: bool = False) -> np.ndarr
         raise ShapeError(
             f"expected {g.ambient_dim} rows, got shape {out.shape}"
         )
-    _kernels.apply_banded_matrix(g.free_entries, g.betas, out, not transpose)
-    return out
+    return _kernels.apply_plan(g, out, transpose)
 
 
-@dataclass
-class BlockedWY:
-    """A run of consecutive reflections aggregated as I - V T V'.
-
-    Columns of v_block are the full reflection vectors (unit pivots written
-    out); t_block is upper triangular with the betas on its diagonal. The T
-    factor adds b(b + 1)/2 stored scalars on top of the banded data.
-    """
-
-    v_block: np.ndarray
-    t_block: np.ndarray
-    start_index: int
-
-    @property
-    def block_size(self) -> int:
-        return self.t_block.shape[0]
-
-    def overhead_floats(self) -> int:
-        b = self.block_size
-        return b * (b + 1) // 2
+def _check_block_size(block_size: int) -> None:
+    if block_size < 1:
+        raise ShapeError("block size must be at least 1")
 
 
 def build_wy(g: BandedReflectors, start: int, block_size: int) -> BlockedWY:
     """Aggregate reflections start .. start + block_size - 1 into WY form.
 
-    T grows column by column: appending reflection j extends T with the
-    column (-beta_j T V' v_j over beta_j).
+    Built the same way as the blocks of the cached plan, but not cached.
     """
-    if block_size < 1:
-        raise ShapeError("block size must be at least 1")
+    _check_block_size(block_size)
     if start < 0 or start + block_size > g.count:
         raise IndexError(
             f"block [{start}, {start + block_size}) out of range for "
             f"{g.count} reflections"
         )
-    b = block_size
-    v = np.zeros((g.ambient_dim, b))
-    for j in range(b):
-        v[:, j] = g.implied_vector(start + j)
-    t = np.zeros((b, b))
-    t[0, 0] = g.betas[start]
-    for j in range(1, b):
-        beta = g.betas[start + j]
-        t[:j, j] = -beta * (t[:j, :j] @ (v[:, :j].T @ v[:, j]))
-        t[j, j] = beta
-    return BlockedWY(v, t, start)
+    return _kernels.build_blocks(g, start, block_size, 1)[0]
 
 
-def wy_chain(g: BandedReflectors, block_size: int) -> list[BlockedWY]:
-    """WY forms covering all reflections in consecutive blocks.
+def wy_chain(g: BandedReflectors, block_size: int) -> tuple[BlockedWY, ...]:
+    """The cached WY plan: blocks covering all reflections in ascending order.
 
     The last block is smaller when block_size does not divide count.
     """
-    if block_size < 1:
-        raise ShapeError("block size must be at least 1")
-    return [
-        build_wy(g, s, min(block_size, g.count - s))
-        for s in range(0, g.count, block_size)
-    ]
-
-
-def _apply_wy(blk: BlockedWY, bandwidth: int, x: np.ndarray) -> None:
-    # Reflections start .. start+b-1 only touch rows start .. start+b-1+w,
-    # so the update runs on that slice; rows outside it hold exact zeros.
-    s = blk.start_index
-    stop = min(s + blk.block_size + bandwidth, x.shape[0])
-    v = blk.v_block[s:stop]
-    seg = x[s:stop]
-    seg -= v @ (blk.t_block @ (v.T @ seg))
+    _check_block_size(block_size)
+    return _kernels.plan(g, block_size)
 
 
 def apply_blocked(g: BandedReflectors, x, block_size: int) -> np.ndarray:
-    """Return G x evaluated block by block through WY forms.
-
-    Blocks are applied in the same overall order as apply: the block
-    holding the highest indices first.
-    """
-    out = _vector_copy(g, x)
-    for blk in reversed(wy_chain(g, block_size)):
-        _apply_wy(blk, g.bandwidth, out)
-    return out
-
-
-def blocked_block_count(count: int, block_size: int) -> int:
-    """Number of WY blocks covering count reflections."""
-    return math.ceil(count / block_size) if count else 0
+    """Return G x through the cached WY plan with the given block size."""
+    _check_block_size(block_size)
+    return _kernels.apply_plan(g, _vector_copy(g, x), False, block_size)

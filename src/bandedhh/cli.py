@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, storage
-from .apply import apply, apply_blocked, apply_to_matrix, apply_transpose, blocked_block_count, wy_chain, _apply_wy
+from . import storage
+from .apply import BLOCK_SIZE, apply, apply_blocked, apply_to_matrix, apply_transpose, wy_chain
 from .dense import ShapeError
 from .factor import (
+    BandedReflectors,
     Placement,
     factor_auto,
     factor_complement,
@@ -159,8 +160,11 @@ def _cmd_report(args) -> int:
     return 0
 
 
+BENCH_COLUMNS = 64
+
+
 def _time_per_call(func, repetitions: int) -> float:
-    func()  # warm-up, compile and touch caches
+    func()  # warm-up: the first banded call builds the cached plan
     best = float("inf")
     for _ in range(repetitions):
         t0 = time.perf_counter()
@@ -169,9 +173,20 @@ def _time_per_call(func, repetitions: int) -> float:
     return best
 
 
-def _print_timing(label: str, seconds: float, flops: int) -> None:
+def _time_plan_build(g, repetitions: int) -> float:
+    # Each repetition builds the plan of a fresh copy, so none hits the cache.
+    best = float("inf")
+    for _ in range(repetitions):
+        fresh = BandedReflectors(g.ambient_dim, g.free_entries, g.betas)
+        t0 = time.perf_counter()
+        wy_chain(fresh, BLOCK_SIZE)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _print_timing(label: str, seconds: float, flops: int, per: str = "matvec") -> None:
     rate = f"{flops / seconds:.3e} flops/s" if seconds > 0 and flops else "n/a"
-    print(f"{label}: {seconds * 1e9:.0f} ns/matvec, {rate}")
+    print(f"{label}: {seconds * 1e9:.0f} ns/{per}, {rate}")
 
 
 def _cmd_bench(args) -> int:
@@ -198,39 +213,24 @@ def _cmd_bench(args) -> int:
     dense_flops = 2 * args.m * args.m
     print(f"banded matvec flops: {banded_flops}")
     x = rng.standard_normal(args.m)
+    xs = rng.standard_normal((args.m, BENCH_COLUMNS))
     reps = args.repetitions
 
+    build = _time_plan_build(g, reps)
+    print(f"plan build (block size {BLOCK_SIZE}): {build * 1e9:.0f} ns")
     dense_g = apply_to_matrix(g, np.eye(args.m))
     _print_timing("dense matvec", _time_per_call(lambda: dense_g @ x, reps), dense_flops)
+    _print_timing("banded matvec", _time_per_call(lambda: apply(g, x), reps), banded_flops)
+    cols = f"{BENCH_COLUMNS}-column product"
+    _print_timing(f"dense {cols}", _time_per_call(lambda: dense_g @ xs, reps),
+                  dense_flops * BENCH_COLUMNS, "call")
+    _print_timing(f"banded {cols}", _time_per_call(lambda: apply_to_matrix(g, xs), reps),
+                  banded_flops * BENCH_COLUMNS, "call")
 
-    free, betas = g.free_entries, g.betas
-    y = x.copy()
-    _print_timing(
-        f"banded matvec ({_kernels.backend()})",
-        _time_per_call(lambda: _kernels.apply_banded(free, betas, y, True), reps),
-        banded_flops,
-    )
-    if _kernels.HAVE_NUMBA:
-        z = x.copy()
-        _print_timing(
-            "banded matvec (numpy fallback)",
-            _time_per_call(lambda: _kernels.apply_banded_numpy(free, betas, z, True), reps),
-            banded_flops,
-        )
-
-    if k:
-        chain = wy_chain(g, args.block_size)
-        print(f"blocked: block size {args.block_size}, "
-              f"blocks {blocked_block_count(k, args.block_size)}")
-        u = x.copy()
-
-        def run_blocked():
-            for blk in reversed(chain):
-                _apply_wy(blk, w, u)
-
-        _print_timing("blocked matvec", _time_per_call(run_blocked, reps), banded_flops)
-    else:
-        print(f"blocked: block size {args.block_size}, blocks 0")
+    b = args.block_size
+    print(f"blocked: block size {b}, blocks {len(wy_chain(g, b))}")
+    _print_timing("blocked matvec", _time_per_call(lambda: apply_blocked(g, x, b), reps),
+                  banded_flops)
     return 0
 
 

@@ -12,7 +12,7 @@ bandwidth n, again n(m - n) floats. factor_auto picks whichever side is
 cheaper.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -49,15 +49,21 @@ class BandedReflectors:
     pivot at row i followed by the bandwidth entries of free_entries[i].
     betas[i] = 2 / (v_i' v_i), or exactly 0.0 for a skipped reflection,
     which behaves as the identity. count + bandwidth = ambient_dim always.
+
+    Both arrays are private read-only copies, so the WY plans cached on the
+    instance (see _kernels) always describe the reflections it holds.
     """
 
     ambient_dim: int
     free_entries: np.ndarray
     betas: np.ndarray
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.free_entries = np.ascontiguousarray(self.free_entries, dtype=np.float64)
-        self.betas = np.ascontiguousarray(self.betas, dtype=np.float64)
+        self.free_entries = np.array(self.free_entries, dtype=np.float64)
+        self.betas = np.array(self.betas, dtype=np.float64)
+        self.free_entries.flags.writeable = False
+        self.betas.flags.writeable = False
         if self.free_entries.ndim != 2:
             raise ShapeError("free_entries must be a 2-D array")
         k, w = self.free_entries.shape
@@ -179,8 +185,7 @@ def factor_complement(a) -> CompactSubspaceFactor:
     q_full, _ = np.linalg.qr(a, mode="complete")
     inner = factor_tall(np.ascontiguousarray(q_full[:, n:]))
     g = inner.reflectors
-    gt_a = a.copy()
-    _kernels.apply_banded_matrix(g.free_entries, g.betas, gt_a, False)
+    gt_a = _kernels.apply_plan(g, a.copy(), transpose=True)
     core = np.ascontiguousarray(gt_a[m - n :])
     return CompactSubspaceFactor(g, core, Placement.BOTTOM)
 
@@ -204,7 +209,7 @@ def reconstruct_g(g: BandedReflectors) -> np.ndarray:
     """Dense m x m product H_1 H_2 ... H_k built one reflection at a time.
 
     Deliberately slow and simple; serves as the independent oracle for the
-    fast apply paths.
+    WY apply engine.
     """
     m = g.ambient_dim
     out = np.eye(m)
@@ -227,8 +232,7 @@ def reconstruct_a(f: CompactSubspaceFactor) -> np.ndarray:
         padded[:n] = f.core
     else:
         padded[m - n :] = f.core
-    _kernels.apply_banded_matrix(g.free_entries, g.betas, padded, True)
-    return padded
+    return _kernels.apply_plan(g, padded, transpose=False)
 
 
 def storage_floats(g: BandedReflectors) -> int:

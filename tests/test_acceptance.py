@@ -166,6 +166,7 @@ def test_criterion_08_determinism():
 
 
 def test_criterion_09_blocked_equivalence():
+    ok = True
     worst_apply = 0.0
     worst_wy = 0.0
     factors = [
@@ -185,13 +186,21 @@ def test_criterion_09_blocked_equivalence():
             worst_apply = max(worst_apply, diff / np.linalg.norm(x))
         for start, size in ((0, 1), (0, min(4, k)), (k // 2, min(3, k - k // 2)), (0, k)):
             blk = build_wy(g, start, size)
-            wy = np.eye(m) - blk.v_block @ blk.t_block @ blk.v_block.T
+            # v_block is band-compact: it holds rows start .. start + size + w
+            rows = slice(start, start + size + g.bandwidth)
+            for j in range(size):
+                v = g.implied_vector(start + j)
+                ok &= np.array_equal(blk.v_block[:, j], v[rows])
+                v[rows] = 0.0
+                ok &= not v.any()
+            wy = np.eye(m)
+            wy[rows, rows] -= blk.v_block @ blk.t_block @ blk.v_block.T
             product = np.eye(m)
             for i in range(start, start + size):
                 v = g.implied_vector(i)
                 product = product @ (np.eye(m) - g.betas[i] * np.outer(v, v))
             worst_wy = max(worst_wy, np.linalg.norm(wy - product))
-    ok = worst_apply <= 1e-13 and worst_wy <= 1e-13
+    ok &= worst_apply <= 1e-13 and worst_wy <= 1e-13
     _report(9, "blocked-equivalence", ok,
             f"apply diff {worst_apply:.3e}, wy defect {worst_wy:.3e}")
 

@@ -16,12 +16,49 @@ from bandedhh import (
     reconstruct_g,
     wy_chain,
 )
-from bandedhh import _kernels
 
 
 def tall_g(m, n, seed):
     rng = np.random.default_rng(seed)
     return factor_tall(rng.standard_normal((m, n))).reflectors
+
+
+def reference_apply(g, x, forward):
+    """G x (forward) or G' x, one reflection at a time, for 1 or many columns."""
+    out = np.array(x, dtype=np.float64)
+    w = g.bandwidth
+    for i in range(g.count - 1, -1, -1) if forward else range(g.count):
+        beta = g.betas[i]
+        if beta == 0.0:
+            continue
+        rows = out[i + 1 : i + 1 + w]
+        t = beta * (out[i] + g.free_entries[i] @ rows)
+        out[i] -= t
+        rows -= np.multiply.outer(g.free_entries[i], t)
+    return out
+
+
+def band_rows(g, blk):
+    """Rows of the full reflection vectors that blk.v_block holds."""
+    return slice(blk.start_index, blk.start_index + blk.block_size + g.bandwidth)
+
+
+def check_band_compact(g, blk):
+    """v_block column j is implied_vector(start + j) on the band rows, zero elsewhere."""
+    rows = band_rows(g, blk)
+    for j in range(blk.block_size):
+        v = g.implied_vector(blk.start_index + j)
+        assert np.array_equal(blk.v_block[:, j], v[rows])
+        v[rows] = 0.0
+        assert not v.any()
+
+
+def embedded_wy(g, blk):
+    """The dense m x m matrix I - V T V' with V T V' at the band rows."""
+    rows = band_rows(g, blk)
+    wy = np.eye(g.ambient_dim)
+    wy[rows, rows] -= blk.v_block @ blk.t_block @ blk.v_block.T
+    return wy
 
 
 class TestApply:
@@ -138,11 +175,12 @@ class TestBlockedWY:
         g = tall_g(9, 4, 21)
         blk = build_wy(g, 1, 1)
         assert np.array_equal(blk.t_block, [[g.betas[1]]])
-        assert np.array_equal(blk.v_block[:, 0], g.implied_vector(1))
+        check_band_compact(g, blk)
 
     def test_pair_recurrence_formula(self):
         g = tall_g(9, 4, 22)
         blk = build_wy(g, 0, 2)
+        check_band_compact(g, blk)
         v0, v1 = g.implied_vector(0), g.implied_vector(1)
         b0, b1 = g.betas[0], g.betas[1]
         expected = np.array([[b0, -b0 * b1 * (v0 @ v1)], [0.0, b1]])
@@ -152,7 +190,8 @@ class TestBlockedWY:
     def test_dense_identity(self, start, size):
         g = tall_g(12, 5, 23)
         blk = build_wy(g, start, size)
-        wy = np.eye(12) - blk.v_block @ blk.t_block @ blk.v_block.T
+        check_band_compact(g, blk)
+        wy = embedded_wy(g, blk)
         product = np.eye(12)
         for i in range(start, start + size):
             v = g.implied_vector(i)
@@ -208,24 +247,86 @@ class TestApplyBlocked:
             apply_blocked(g, np.zeros(9), 0)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not active")
-class TestBackendAgreement:
-    def test_vector_paths_agree(self):
-        g = tall_g(40, 12, 35)
-        x = np.random.default_rng(36).standard_normal(40)
-        for forward in (True, False):
-            a = x.copy()
-            b = x.copy()
-            _kernels.apply_banded_numba(g.free_entries, g.betas, a, forward)
-            _kernels.apply_banded_numpy(g.free_entries, g.betas, b, forward)
-            assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(x)
+def skipped_mix_g():
+    # every third reflection skipped; its free entries are left nonzero
+    g = tall_g(120, 45, 40)
+    betas = np.where(np.arange(45) % 3 == 1, 0.0, g.betas)
+    return BandedReflectors(120, g.free_entries, betas)
 
-    def test_matrix_paths_agree(self):
-        g = tall_g(30, 8, 37)
-        xmat = np.random.default_rng(38).standard_normal((30, 5))
-        for forward in (True, False):
-            a = xmat.copy()
-            b = xmat.copy()
-            _kernels.apply_banded_matrix_numba(g.free_entries, g.betas, a, forward)
-            _kernels.apply_banded_matrix_numpy(g.free_entries, g.betas, b, forward)
-            assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(xmat)
+
+class TestWYEngine:
+    """The cached WY plan against the per-reflection reference loop."""
+
+    CASES = {
+        "k%b!=0": lambda: tall_g(120, 45, 41),
+        "k<b": lambda: tall_g(30, 10, 42),
+        "several-blocks": lambda: factor_complement(
+            np.random.default_rng(43).standard_normal((160, 90))).reflectors,
+        "w=0-square": lambda: tall_g(20, 20, 44),
+        "w=0-sign-flips": lambda: BandedReflectors(
+            40, np.zeros((40, 0)), np.where(np.arange(40) % 2 == 0, 2.0, 0.0)),
+        "k=0": lambda: BandedReflectors(9, np.zeros((0, 9)), np.zeros(0)),
+        "skipped-mix": skipped_mix_g,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("columns", [1, 64])
+    def test_matches_reference_loop(self, case, forward, columns):
+        g = self.CASES[case]()
+        rng = np.random.default_rng(45)
+        if columns == 1:
+            x = rng.standard_normal(g.ambient_dim)
+            got = apply(g, x) if forward else apply_transpose(g, x)
+        else:
+            x = rng.standard_normal((g.ambient_dim, columns))
+            got = apply_to_matrix(g, x, transpose=not forward)
+        want = reference_apply(g, x, forward)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_t_diagonal_and_skipped_rows_exact(self):
+        g = skipped_mix_g()
+        for blk in wy_chain(g, 32):
+            betas = g.betas[blk.start_index : blk.start_index + blk.block_size]
+            assert np.array_equal(np.diag(blk.t_block), betas)
+            skipped = betas == 0.0
+            assert not blk.t_block[skipped].any()
+            assert not blk.t_block[:, skipped].any()
+
+    def test_all_skipped_is_bit_exact_identity(self):
+        g = BandedReflectors(80, np.ones((40, 40)), np.zeros(40))
+        rng = np.random.default_rng(46)
+        x, xs = rng.standard_normal(80), rng.standard_normal((80, 64))
+        assert np.array_equal(apply(g, x), x)
+        assert np.array_equal(apply_transpose(g, x), x)
+        assert np.array_equal(apply_to_matrix(g, xs), xs)
+        assert np.array_equal(apply_to_matrix(g, xs, transpose=True), xs)
+
+    def test_hand_case_exact_on_every_path(self):
+        g = BandedReflectors(2, np.array([[1.0]]), np.array([1.0]))
+        assert np.array_equal(apply_transpose(g, [1.0, 0.0]), [0.0, -1.0])
+        assert np.array_equal(apply_to_matrix(g, [[1.0], [0.0]]), [[0.0], [-1.0]])
+        assert np.array_equal(apply_blocked(g, [1.0, 0.0], 1), [0.0, -1.0])
+
+    def test_plan_is_cached(self):
+        g = tall_g(60, 20, 47)
+        assert wy_chain(g, 32) is wy_chain(g, 32)
+        assert wy_chain(g, 8) is not wy_chain(g, 32)
+
+    def test_factor_arrays_are_read_only_copies(self):
+        free, betas = np.ones((3, 2)), np.ones(3)
+        g = BandedReflectors(5, free, betas)
+        free[0, 0] = 7.0
+        assert g.free_entries[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            g.free_entries[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            g.betas[0] = 2.0
+
+    def test_deterministic(self):
+        g = tall_g(200, 70, 48)
+        rng = np.random.default_rng(49)
+        x, xs = rng.standard_normal(200), rng.standard_normal((200, 64))
+        assert apply(g, x).tobytes() == apply(g, x).tobytes()
+        assert apply_transpose(g, x).tobytes() == apply_transpose(g, x).tobytes()
+        assert apply_to_matrix(g, xs).tobytes() == apply_to_matrix(g, xs).tobytes()
