@@ -13,6 +13,10 @@ A plan is built once per block size and cached on the BandedReflectors,
 whose arrays are read-only so that it cannot go stale. It costs about one
 more copy of the free entries, k (w + b) floats, plus one b x b triangular T
 (b (b + 1) / 2 nonzeros) per block, held while the factor lives.
+
+The same block loop also applies the unbanded reflectors of a LAPACK QR
+(raw_blocks), whose vectors run to the last row; factor_complement forms
+its complement basis that way.
 """
 
 from dataclasses import dataclass
@@ -26,12 +30,13 @@ BLOCK_SIZE = 32
 class BlockedWY:
     """Reflections start_index .. start_index + b - 1 as I - V T V'.
 
-    v_block is band-compact: its rows are rows start_index ..
-    start_index + b - 1 + w of the full reflection vectors, unit pivots
-    written out, and every row outside that range of those vectors is zero.
+    v_block holds rows start_index .. start_index + len(v_block) - 1 of
+    the full reflection vectors, unit pivots written out, and every row
+    outside that range of those vectors is zero. In a plan it is
+    band-compact, b + w rows; in a raw_blocks block it runs to row m - 1.
     t_block is b x b upper triangular with the betas on its diagonal; a
     skipped reflection (beta = 0) has an exactly zero row and column, so it
-    acts as the identity. Both arrays are read-only.
+    acts as the identity. In a plan both arrays are read-only.
     """
 
     v_block: np.ndarray
@@ -48,6 +53,20 @@ class BlockedWY:
         return b * (b + 1) // 2
 
 
+def _block_t(vt: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """T of I - V T V' from V' (b x rows) and the b betas, or a stack of both."""
+    # T = (I + diag(beta) striu(V'V))^-1 diag(beta) is T^-1 = diag(1/beta) +
+    # striu(V'V) rearranged so that beta = 0 needs no division. The matrix
+    # inverted is unit upper triangular, so its inverse keeps an exact unit
+    # diagonal and T[j, j] == beta_j bit for bit.
+    size = betas.shape[-1]
+    unit = vt @ np.swapaxes(vt, -1, -2)
+    unit *= betas[..., :, None]
+    unit *= np.triu(np.ones((size, size)), 1)
+    unit += np.eye(size)
+    return np.linalg.inv(unit) * betas[..., None, :]
+
+
 def build_blocks(g, start: int, size: int, count: int) -> list[BlockedWY]:
     """count consecutive blocks of size reflections each, from reflection start."""
     if count == 0:
@@ -62,16 +81,7 @@ def build_blocks(g, start: int, size: int, count: int) -> list[BlockedWY]:
     skewed[:, :, 1 : 1 + w] = g.free_entries[start:stop].reshape(count, size, w)
     skewed[:, :, 1 + w :] = 0.0
     vt = skewed.reshape(count, -1)[:, : size * (size + w)].reshape(count, size, size + w)
-    betas = g.betas[start:stop].reshape(count, size)
-    # T = (I + diag(beta) striu(V'V))^-1 diag(beta) is T^-1 = diag(1/beta) +
-    # striu(V'V) rearranged so that beta = 0 needs no division. The matrix
-    # inverted is unit upper triangular, so its inverse keeps an exact unit
-    # diagonal and T[j, j] == beta_j bit for bit.
-    unit = vt @ vt.transpose(0, 2, 1)
-    unit *= betas[:, :, None]
-    unit *= np.triu(np.ones((size, size)), 1)
-    unit += np.eye(size)
-    t = np.linalg.inv(unit) * betas[:, None, :]
+    t = _block_t(vt, g.betas[start:stop].reshape(count, size))
     v = vt.transpose(0, 2, 1)
     v.flags.writeable = False
     t.flags.writeable = False
@@ -93,14 +103,38 @@ def plan(g, block_size: int = BLOCK_SIZE) -> tuple[BlockedWY, ...]:
     return cached
 
 
-def apply_plan(g, x: np.ndarray, transpose: bool, block_size: int = BLOCK_SIZE) -> np.ndarray:
-    """Overwrite x (a vector or a matrix of columns) with G x, or G' x."""
-    w = g.bandwidth
-    blocks = plan(g, block_size)
-    for blk in blocks if transpose else reversed(blocks):
+def raw_blocks(h: np.ndarray, tau: np.ndarray):
+    """WY blocks of the reflectors in np.linalg.qr(a, mode="raw"), last to first.
+
+    h is n x m: reflection j has a unit pivot at row j and its tail in
+    h[j, j + 1:]. Block [s, e) has V' = triu(h[s:e, s:], 1) with a unit
+    diagonal, (e - s) x (m - s). Blocks are built one at a time as the
+    caller consumes them, so only one is held at once.
+    """
+    n = h.shape[0]
+    for s in range(((n - 1) // BLOCK_SIZE) * BLOCK_SIZE, -1, -BLOCK_SIZE):
+        e = min(s + BLOCK_SIZE, n)
+        vt = np.triu(h[s:e, s:], 1)
+        np.fill_diagonal(vt, 1.0)
+        yield BlockedWY(vt.T, _block_t(vt, tau[s:e]), s)
+
+
+def apply_blocks(blocks, x: np.ndarray, transpose: bool) -> np.ndarray:
+    """Overwrite x with the product of blocks, applied in the order given.
+
+    Each block updates rows start_index .. start_index + len(v_block) - 1
+    of x, with I - V T V' or, when transpose is set, I - V T' V'.
+    """
+    for blk in blocks:
         s = blk.start_index
-        seg = x[s : s + blk.block_size + w]
+        seg = x[s : s + blk.v_block.shape[0]]
         v = blk.v_block
         t = blk.t_block.T if transpose else blk.t_block
         seg -= v @ (t @ (v.T @ seg))
     return x
+
+
+def apply_plan(g, x: np.ndarray, transpose: bool, block_size: int = BLOCK_SIZE) -> np.ndarray:
+    """Overwrite x (a vector or a matrix of columns) with G x, or G' x."""
+    blocks = plan(g, block_size)
+    return apply_blocks(blocks if transpose else reversed(blocks), x, transpose)

@@ -11,6 +11,11 @@ In the paper's count, G x costs 4 k w + 2 k flops for k reflections of
 bandwidth w, a fraction of the 2 m^2 of a dense multiply. apply_counted
 tallies that per-reflection convention, not the BLAS operations the WY
 engine actually executes.
+
+Non-finite input is not rejected: NaN and Inf propagate through every
+product by IEEE rules, and nothing raises. A check would cost one more
+full pass over the input on every call, and the CLI already rejects
+non-finite values when it reads a matrix (storage.read_matrix).
 """
 
 from dataclasses import dataclass
@@ -65,12 +70,20 @@ def _vector_copy(g: BandedReflectors, x) -> np.ndarray:
 
 
 def apply(g: BandedReflectors, x) -> np.ndarray:
-    """Return G x; blocks of reflections run from the last to the first."""
+    """Return G x; blocks of reflections run from the last to the first.
+
+    NaN and Inf in the input propagate to the output by IEEE rules; they
+    are not rejected (see the module docstring).
+    """
     return _kernels.apply_plan(g, _vector_copy(g, x), transpose=False)
 
 
 def apply_transpose(g: BandedReflectors, y) -> np.ndarray:
-    """Return G' y; blocks of reflections run from the first to the last."""
+    """Return G' y; blocks of reflections run from the first to the last.
+
+    NaN and Inf in the input propagate to the output by IEEE rules; they
+    are not rejected (see the module docstring).
+    """
     return _kernels.apply_plan(g, _vector_copy(g, y), transpose=True)
 
 
@@ -85,7 +98,11 @@ def apply_counted(g: BandedReflectors, x, counter: FlopCounter) -> np.ndarray:
 
 
 def apply_to_matrix(g: BandedReflectors, a, transpose: bool = False) -> np.ndarray:
-    """Apply G (or G' with transpose=True) to every column of a."""
+    """Apply G (or G' with transpose=True) to every column of a.
+
+    NaN and Inf in the input propagate to the output by IEEE rules; they
+    are not rejected (see the module docstring).
+    """
     out = np.array(a, dtype=np.float64, order="C")
     if out.ndim != 2 or out.shape[0] != g.ambient_dim:
         raise ShapeError(

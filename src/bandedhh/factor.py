@@ -163,10 +163,25 @@ def factor_tall(a) -> CompactSubspaceFactor:
     return CompactSubspaceFactor(g, core, Placement.TOP)
 
 
+def _complement_basis(a: np.ndarray) -> np.ndarray:
+    """U2 = H_1 ... H_n (0; I_{m-n}): the last m - n columns of the Q of a."""
+    m, n = a.shape
+    h, tau = np.linalg.qr(a, mode="raw")
+    u2 = np.eye(m, m - n, -n)
+    return _kernels.apply_blocks(_kernels.raw_blocks(h, tau), u2, transpose=False)
+
+
 def factor_complement(a) -> CompactSubspaceFactor:
     """Factor a = G (0; B) through the orthogonal complement of range(a).
 
-    A complete QR of a supplies an orthonormal basis U2 of the complement;
+    The complement basis comes from a raw QR of a (LAPACK dgeqrf, no Q
+    formed): U2 = H_1 ... H_n (0; I_{m-n}), the last m - n columns of Q
+    only, built by applying the n reflectors in WY blocks of BLOCK_SIZE
+    from the last block to the first. On top of the QR that costs at most
+    4 m n (m - n) flops for the updates and 2 b m n for the b x b T
+    factors (b = BLOCK_SIZE), never the m x m Q. When m - n <= n, the
+    shape factor_auto sends here, the traced peak memory is about twice
+    the input; otherwise U2 adds m (m - n) floats on top of that.
     factor_tall(U2) then yields G with m - n reflections of bandwidth n,
     and B is the bottom n rows of G' a. The top m - n rows of G' a vanish
     because the complement is orthogonal to range(a).
@@ -182,9 +197,7 @@ def factor_complement(a) -> CompactSubspaceFactor:
     if m == n:
         g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
         return CompactSubspaceFactor(g, a.copy(), Placement.BOTTOM)
-    q_full, _ = np.linalg.qr(a, mode="complete")
-    inner = factor_tall(np.ascontiguousarray(q_full[:, n:]))
-    g = inner.reflectors
+    g = factor_tall(_complement_basis(a)).reflectors
     gt_a = _kernels.apply_plan(g, a.copy(), transpose=True)
     core = np.ascontiguousarray(gt_a[m - n :])
     return CompactSubspaceFactor(g, core, Placement.BOTTOM)

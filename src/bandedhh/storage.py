@@ -92,8 +92,38 @@ def _read_exact(source, nbytes: int, offset: int, what: str) -> bytes:
     return data
 
 
+def _check_reflections(betas: np.ndarray, free: np.ndarray) -> None:
+    """Reject betas that do not make every reflection orthogonal.
+
+    I - beta v v' with v = (1, t) is orthogonal iff beta = 0 or
+    beta (1 + t't) = 2. Written factors have beta = 0 or beta in [1, 2]
+    (|t_i| <= 1) and meet the second condition to a few ulps; the bound
+    4 (w + 2) eps is at least 3x the worst defect measured on real factors.
+    """
+    outside = (betas != 0.0) & ((betas < 1.0) | (betas > 2.0))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise FactorFormatError(
+            f"beta {betas[i]!r} of reflection {i} is neither 0 nor in [1, 2]"
+        )
+    w = free.shape[1]
+    defect = np.abs(betas * (1.0 + np.einsum("ij,ij->i", free, free)) - 2.0)
+    bad = (betas != 0.0) & (defect > 4 * (w + 2) * np.finfo(np.float64).eps)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FactorFormatError(
+            f"reflection {i} is not orthogonal: |beta (1 + t't) - 2| = "
+            f"{defect[i]:.3e}"
+        )
+
+
 def read_factor(source) -> CompactSubspaceFactor:
-    """Parse one factor record from a binary stream."""
+    """Parse one factor record from a binary stream.
+
+    Besides the layout, the payload must be finite and every reflection it
+    describes orthogonal (see _check_reflections), so a factor that reads
+    back always describes an orthogonal G.
+    """
     magic = _read_exact(source, len(MAGIC), 0, "magic")
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
@@ -122,6 +152,7 @@ def read_factor(source) -> CompactSubspaceFactor:
     betas = doubles[:k]
     free = doubles[k : k + k * w].reshape(k, w)
     core = doubles[k + k * w :].reshape(n, n)
+    _check_reflections(betas, free)
     g = BandedReflectors(m, free, betas)
     return CompactSubspaceFactor(g, core, placement)
 

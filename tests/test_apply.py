@@ -111,6 +111,19 @@ class TestApply:
         apply(g, x)
         assert np.array_equal(x, np.ones(7))
 
+    def test_nan_propagates(self):
+        # NaN is not rejected: it spreads through the products by IEEE rules
+        g = tall_g(40, 10, 9)
+        x = np.random.default_rng(10).standard_normal(40)
+        x[17] = np.nan
+        for out in (
+            apply(g, x),
+            apply_transpose(g, x),
+            apply_to_matrix(g, np.column_stack([x, x])),
+            apply_to_matrix(g, np.column_stack([x, x]), transpose=True),
+        ):
+            assert np.isnan(out).any()
+
 
 class TestApplyCounted:
     def test_seven_by_four_exact_count(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from bandedhh import (
     storage_floats,
     storage_floats_with_betas,
 )
+from bandedhh.factor import _complement_basis
 
 
 def random_matrix(m, n, seed):
@@ -156,6 +159,46 @@ class TestFactorComplement:
         assert f.reflectors.count == 4
         assert f.reflectors.bandwidth == 0
         assert reconstruct_a(f).shape == (4, 0)
+
+
+class TestComplementBasis:
+    # U2 comes from the raw QR's reflectors; the complete QR's Q is built
+    # from the same reflectors, so its last m - n columns must agree.
+    @pytest.mark.parametrize(
+        "case",
+        ["n<32", "n%32!=0", "n=64", "n=1", "m-n=1", "zero", "rank n/10"],
+    )
+    def test_matches_complete_qr(self, case):
+        m, n, rank = {
+            "n<32": (40, 20, None),
+            "n%32!=0": (150, 100, None),
+            "n=64": (100, 64, None),
+            "n=1": (30, 1, None),
+            "m-n=1": (80, 79, None),
+            "zero": (60, 50, 0),
+            "rank n/10": (130, 100, 10),
+        }[case]
+        rng = np.random.default_rng(m + n)
+        if rank is None:
+            a = rng.standard_normal((m, n))
+        else:
+            a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        u2 = _complement_basis(a)
+        expected = np.linalg.qr(a, mode="complete")[0][:, n:]
+        assert u2.shape == (m, m - n)
+        assert np.linalg.norm(u2 - expected) <= 1e-13 * np.sqrt(m)
+
+    def test_peak_memory_within_three_inputs(self):
+        a = random_matrix(600, 590, 21)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            factor_complement(a)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * a.nbytes
 
 
 class TestFactorAuto:

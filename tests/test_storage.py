@@ -9,6 +9,7 @@ from bandedhh import (
     TruncatedPayloadError,
     FactorFormatError,
     MatrixFormatError,
+    factor_auto,
     factor_byte_length,
     factor_complement,
     factor_tall,
@@ -111,6 +112,53 @@ class TestFactorFormat:
         data[24:32] = np.float64(np.nan).tobytes()
         with pytest.raises(FactorFormatError, match="non-finite"):
             read_factor(io.BytesIO(bytes(data)))
+
+
+class TestReflectionValidation:
+    # betas start at byte 24, free entries at byte 24 + 8k, row by reflection
+    def corrupted(self, f, offset, value):
+        data = bytearray(factor_bytes(f))
+        data[offset : offset + 8] = np.float64(value).tobytes()
+        return io.BytesIO(bytes(data))
+
+    @pytest.mark.parametrize("beta", [0.5, 2.5])
+    def test_beta_out_of_range(self, beta):
+        f, _ = make_factor(9, 4, seed=4)
+        with pytest.raises(FactorFormatError, match=r"neither 0 nor in \[1, 2\]"):
+            read_factor(self.corrupted(f, 24 + 8 * 2, beta))
+
+    def test_beta_off_by_relative_1e9(self):
+        f, _ = make_factor(9, 4, seed=4)
+        g = f.reflectors
+        i = int(np.argmin(g.betas))  # the largest t't, so beta is inside (1, 2)
+        with pytest.raises(FactorFormatError, match="not orthogonal"):
+            read_factor(self.corrupted(f, 24 + 8 * i, g.betas[i] * (1 + 1e-9)))
+
+    def test_free_entry_off_by_relative_1e9(self):
+        f, _ = make_factor(9, 4, seed=4)
+        g = f.reflectors
+        k, w = g.free_entries.shape
+        i = int(np.argmin(g.betas))
+        j = int(np.argmax(np.abs(g.free_entries[i])))
+        offset = 24 + 8 * k + 8 * (i * w + j)
+        with pytest.raises(FactorFormatError, match="not orthogonal"):
+            read_factor(self.corrupted(f, offset, g.free_entries[i, j] * (1 + 1e-9)))
+
+    @pytest.mark.parametrize(
+        "m,n", [(512, 64), (1000, 200), (4096, 512), (1000, 900), (1200, 1000)]
+    )
+    def test_benchmark_shapes_roundtrip(self, m, n):
+        a = np.random.default_rng(m + n).standard_normal((m, n))
+        data = factor_bytes(factor_auto(a))
+        assert factor_bytes(read_factor(io.BytesIO(data))) == data
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    @pytest.mark.parametrize("method", [factor_tall, factor_complement])
+    @pytest.mark.parametrize("shape", [(30, 7), (30, 22)])
+    def test_extreme_scales_roundtrip(self, shape, method, scale):
+        a = np.random.default_rng(shape[1]).standard_normal(shape) * scale
+        data = factor_bytes(method(a))
+        assert factor_bytes(read_factor(io.BytesIO(data))) == data
 
 
 class TestMatrixText:
