@@ -148,19 +148,27 @@ def factor_tall(a) -> CompactSubspaceFactor:
     if n == 0:
         g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
         return CompactSubspaceFactor(g, np.zeros((0, 0)), Placement.TOP)
-    w = m - n
     # LQ of flip180(a) from the QR of its transpose: L = R', Q = Q'.
     q_lq, r_lq = np.linalg.qr(flip180(a).T)
-    # h is LAPACK's output transposed: row i holds column i of R up to the
-    # diagonal, then the tail of reflection i. The first w tail entries are
-    # the free entries; the rest, h[i, i+1+w:], are structural zeros and
-    # exact by construction.
-    h, betas = np.linalg.qr(flip180(r_lq.T), mode="raw")
-    assert not np.triu(h[:, w + 1 :]).any(), "reflection vector leaked outside the band"
-    rows = np.arange(n)[:, None]
-    g = BandedReflectors(m, h[rows, rows + 1 + np.arange(w)], betas)
+    g, h = _banded_qr(r_lq.T)
     core = np.triu(h[:, :n].T) @ flip180(q_lq.T)
     return CompactSubspaceFactor(g, core, Placement.TOP)
+
+
+def _banded_qr(l: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
+    """Reflectors of the raw QR of flip180(l), for l the m x n L of an LQ.
+
+    Also returns LAPACK's output transposed, h: row i holds column i of R
+    up to the diagonal, then the tail of reflection i. The first m - n
+    tail entries are the free entries; the rest, h[i, i+1+w:], are
+    structural zeros and exact by construction.
+    """
+    m, n = l.shape
+    w = m - n
+    h, betas = np.linalg.qr(flip180(l), mode="raw")
+    assert not np.triu(h[:, w + 1 :]).any(), "reflection vector leaked outside the band"
+    rows = np.arange(n)[:, None]
+    return BandedReflectors(m, h[rows, rows + 1 + np.arange(w)], betas), h
 
 
 def _complement_basis(a: np.ndarray) -> np.ndarray:
@@ -182,8 +190,9 @@ def factor_complement(a) -> CompactSubspaceFactor:
     factors (b = BLOCK_SIZE), never the m x m Q. When m - n <= n, the
     shape factor_auto sends here, the traced peak memory is about twice
     the input; otherwise U2 adds m (m - n) floats on top of that.
-    factor_tall(U2) then yields G with m - n reflections of bandwidth n,
-    and B is the bottom n rows of G' a. The top m - n rows of G' a vanish
+    The reflectors of factor_tall(U2) then give G, m - n reflections of
+    bandwidth n; only the L of its LQ is formed (mode="r"), not its Q or
+    core. B is the bottom n rows of G' a. The top m - n rows of G' a vanish
     because the complement is orthogonal to range(a).
 
     Square input short-circuits to an empty G and B = a, bit-exactly. For
@@ -197,7 +206,11 @@ def factor_complement(a) -> CompactSubspaceFactor:
     if m == n:
         g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
         return CompactSubspaceFactor(g, a.copy(), Placement.BOTTOM)
-    g = factor_tall(_complement_basis(a)).reflectors
+    if n == 0:
+        g = BandedReflectors(m, np.zeros((m, 0)), np.zeros(m))
+    else:
+        l = np.linalg.qr(flip180(_complement_basis(a)).T, mode="r").T
+        g, _ = _banded_qr(l)
     gt_a = _kernels.apply_plan(g, a.copy(), transpose=True)
     core = np.ascontiguousarray(gt_a[m - n :])
     return CompactSubspaceFactor(g, core, Placement.BOTTOM)

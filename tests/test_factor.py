@@ -188,6 +188,21 @@ class TestComplementBasis:
         assert u2.shape == (m, m - n)
         assert np.linalg.norm(u2 - expected) <= 1e-13 * np.sqrt(m)
 
+    # factor_complement forms only the R of the inner LQ; its reflectors and
+    # core must be those of the full factor_tall(U2), bit for bit.
+    @pytest.mark.parametrize(
+        "m,n",
+        [(1000, 4), (1000, 900), (1200, 1000), (1000, 500), (30, 22), (30, 29), (7, 0)],
+    )
+    def test_inner_factor_matches_factor_tall(self, m, n):
+        a = random_matrix(m, n, m + n)
+        f = factor_complement(a)
+        g = factor_tall(_complement_basis(a)).reflectors
+        assert f.reflectors.betas.tobytes() == g.betas.tobytes()
+        assert f.reflectors.free_entries.tobytes() == g.free_entries.tobytes()
+        core = apply_to_matrix(g, a, transpose=True)[m - n :]
+        assert f.core.tobytes() == core.tobytes()
+
     def test_peak_memory_within_three_inputs(self):
         a = random_matrix(600, 590, 21)
         tracemalloc.start()

@@ -19,6 +19,7 @@ from bandedhh import (
     write_factor,
     write_matrix,
 )
+from bandedhh.storage import _CHUNK_VALUES
 
 
 def factor_bytes(f):
@@ -205,3 +206,61 @@ class TestMatrixText:
     def test_bad_header(self):
         with pytest.raises(MatrixFormatError, match="header"):
             read_matrix(io.StringIO("2\n1\n1\n"))
+
+    # When a file has two defects, the one on the earlier line is reported.
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("3 2\nnan 1\n1 2\n3\n", "non-finite value 'nan' at line 2"),
+            ("3 1\nx\n", "malformed number 'x' at line 2"),
+            ("2 2\n1\ninf 1\n", "shape error at line 2"),
+        ],
+    )
+    def test_earlier_defect_wins(self, text, message):
+        with pytest.raises(MatrixFormatError, match=f"^{message}"):
+            read_matrix(io.StringIO(text))
+
+    def test_whitespace_only_row_ends_data(self):
+        with pytest.raises(MatrixFormatError, match="data ends at line 2"):
+            read_matrix(io.StringIO("2 2\n1 2\n \t \n3 4\n"))
+
+    def test_crlf_accepted(self, tmp_path):
+        text = "2 2\r\n1 2\r\n3 4\r\n"
+        expected = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(read_matrix(io.StringIO(text)), expected)
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(text.encode())
+        assert np.array_equal(read_matrix(path), expected)
+
+    def test_underscore_digits_read_as_float_does(self):
+        assert read_matrix(io.StringIO("1 1\n1_0\n"))[0, 0] == 10.0
+
+    def test_overflowing_literal_rejected(self):
+        with pytest.raises(MatrixFormatError, match="non-finite value '1e400' at line 2"):
+            read_matrix(io.StringIO("1 1\n1e400\n"))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_dimension_roundtrip(self, shape):
+        buf = io.StringIO()
+        write_matrix(np.zeros(shape), buf)
+        assert read_matrix(io.StringIO(buf.getvalue())).shape == shape
+
+    # Shapes that span several chunks of the text format, or one row per chunk.
+    @pytest.mark.parametrize(
+        "shape", [(2 * _CHUNK_VALUES + 3, 1), (3, _CHUNK_VALUES + 1), (150, 333)]
+    )
+    def test_roundtrip_across_chunks(self, shape):
+        a = np.random.default_rng(shape[0]).standard_normal(shape)
+        buf = io.StringIO()
+        write_matrix(a, buf)
+        text = buf.getvalue()
+        rows = [" ".join(format(x, ".17g") for x in row) for row in a.tolist()]
+        assert text == "\n".join([f"{shape[0]} {shape[1]}"] + rows) + "\n"
+        assert read_matrix(io.StringIO(text)).tobytes() == a.tobytes()
+
+    def test_defect_in_later_chunk(self):
+        m = _CHUNK_VALUES + 10
+        lines = [f"{m} 1"] + ["1"] * m
+        lines[m - 3] = "nan"
+        with pytest.raises(MatrixFormatError, match=f"^non-finite value 'nan' at line {m - 2}$"):
+            read_matrix(io.StringIO("\n".join(lines) + "\n"))
