@@ -1,7 +1,12 @@
-"""Dense building blocks: validation and the 180 degree flip.
+"""Dense building blocks: validation, the 180 degree flip, and a test metric.
 
 Matrices are plain 2-D float64 numpy arrays in row-major order. Everything
 here is a pure function; inputs are never mutated.
+
+as_matrix is the one validation step: each public entry point calls it
+once on its input. flip180 is not a factorization step; the factorization
+rotates by 180 degrees with reversed views (x[::-1, ::-1]) that LAPACK
+reads directly, and flip180 remains as a copying reference for tests.
 
 There is no Householder kernel here. The LQ and QR steps of the
 factorization are LAPACK dgeqrf, reached through np.linalg.qr (see

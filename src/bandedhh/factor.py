@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import _kernels
-from .dense import ShapeError, as_matrix, flip180
+from .dense import ShapeError, as_matrix
 
 __all__ = [
     "Placement",
@@ -127,11 +128,18 @@ def factor_tall(a) -> CompactSubspaceFactor:
 
     Both Householder steps are LAPACK dgeqrf through np.linalg.qr: the LQ
     is the reduced QR of the transpose, and the banded QR reads its
-    reflectors straight from mode="raw". dlarfg scales its norms, so any
-    finite input factors without overflow or underflow. Sign convention:
-    v = x + sign(x[0]) ||x|| e1 with sign() read from the sign bit, so a
-    -0.0 pivot counts as negative; a column that is already zero below
-    its pivot gets beta = 0 (the identity).
+    reflectors straight from mode="raw". The 180 degree rotations of a and
+    of L are reversed views (x[::-1, ::-1]) that np.linalg.qr copies for
+    LAPACK itself: the input is validated on entry and left unchanged, and
+    a C-ordered float64 input is not copied beforehand. Intermediates are
+    not validated again. The free entries are read from LAPACK's output
+    through one skewed strided view. Only the n x n rotated Q is copied,
+    to C order, for the core product.
+
+    dlarfg scales its norms, so any finite input factors without overflow
+    or underflow. Sign convention: v = x + sign(x[0]) ||x|| e1 with sign()
+    read from the sign bit, so a -0.0 pivot counts as negative; a column
+    that is already zero below its pivot gets beta = 0 (the identity).
 
     Results are bit-identical for the same input on the same numpy,
     LAPACK and BLAS build with the same BLAS thread count.
@@ -148,15 +156,17 @@ def factor_tall(a) -> CompactSubspaceFactor:
     if n == 0:
         g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
         return CompactSubspaceFactor(g, np.zeros((0, 0)), Placement.TOP)
-    # LQ of flip180(a) from the QR of its transpose: L = R', Q = Q'.
-    q_lq, r_lq = np.linalg.qr(flip180(a).T)
+    # LQ of a rotated by 180 degrees from the QR of its transpose: L = R', Q = Q'.
+    q_lq, r_lq = np.linalg.qr(a[::-1, ::-1].T)
     g, h = _banded_qr(r_lq.T)
-    core = np.triu(h[:, :n].T) @ flip180(q_lq.T)
+    # matmul would pass the reversed view to BLAS in another layout, and
+    # OpenBLAS's small-matrix dgemm kernels round differently for it.
+    core = np.triu(h[:, :n].T) @ np.ascontiguousarray(q_lq.T[::-1, ::-1])
     return CompactSubspaceFactor(g, core, Placement.TOP)
 
 
 def _banded_qr(l: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
-    """Reflectors of the raw QR of flip180(l), for l the m x n L of an LQ.
+    """Reflectors of the raw QR of l rotated by 180 degrees, l the L of an LQ.
 
     Also returns LAPACK's output transposed, h: row i holds column i of R
     up to the diagonal, then the tail of reflection i. The first m - n
@@ -165,10 +175,14 @@ def _banded_qr(l: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
     """
     m, n = l.shape
     w = m - n
-    h, betas = np.linalg.qr(flip180(l), mode="raw")
-    assert not np.triu(h[:, w + 1 :]).any(), "reflection vector leaked outside the band"
-    rows = np.arange(n)[:, None]
-    return BandedReflectors(m, h[rows, rows + 1 + np.arange(w)], betas), h
+    h, betas = np.linalg.qr(l[::-1, ::-1], mode="raw")
+    if np.triu(h[:, w + 1 :]).any():
+        raise RuntimeError("reflection vector leaked outside the band")
+    # Free entries of reflection i are h[i, i + 1 : i + 1 + w]: stepping one
+    # row and one column per reflection reads them all through one view,
+    # whose last entry is h[n - 1, m - 1]. BandedReflectors copies it.
+    s0, s1 = h.strides
+    return BandedReflectors(m, as_strided(h[:, 1:], (n, w), (s0 + s1, s1)), betas), h
 
 
 def _complement_basis(a: np.ndarray) -> np.ndarray:
@@ -192,7 +206,10 @@ def factor_complement(a) -> CompactSubspaceFactor:
     the input; otherwise U2 adds m (m - n) floats on top of that.
     The reflectors of factor_tall(U2) then give G, m - n reflections of
     bandwidth n; only the L of its LQ is formed (mode="r"), not its Q or
-    core. B is the bottom n rows of G' a. The top m - n rows of G' a vanish
+    core. As in factor_tall, that LQ reads a reversed view of U2 and the
+    banded QR one of its L, so the copies np.linalg.qr makes for LAPACK
+    are the only copies of either.
+    B is the bottom n rows of G' a. The top m - n rows of G' a vanish
     because the complement is orthogonal to range(a).
 
     Square input short-circuits to an empty G and B = a, bit-exactly. For
@@ -209,7 +226,7 @@ def factor_complement(a) -> CompactSubspaceFactor:
     if n == 0:
         g = BandedReflectors(m, np.zeros((m, 0)), np.zeros(m))
     else:
-        l = np.linalg.qr(flip180(_complement_basis(a)).T, mode="r").T
+        l = np.linalg.qr(_complement_basis(a)[::-1, ::-1].T, mode="r").T
         g, _ = _banded_qr(l)
     gt_a = _kernels.apply_plan(g, a.copy(), transpose=True)
     core = np.ascontiguousarray(gt_a[m - n :])

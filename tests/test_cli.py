@@ -204,3 +204,21 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_parser_built_once_per_process(self, capsys):
+        cli._build_parser.cache_clear()
+        assert main(["report", "7", "4"]) == 0
+        assert main(["report", "9", "3"]) == 0
+        assert cli._build_parser.cache_info().misses == 1
+        capsys.readouterr()
+        # A cached parser answers --help and a bad argument as a fresh one does.
+        fresh_help = cli._build_parser.__wrapped__().format_help()
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            assert capsys.readouterr().out == fresh_help
+        errors = []
+        for _ in range(2):
+            assert main(["report", "seven", "4"]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "invalid int value: 'seven'" in errors[0]

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from bandedhh import (
     storage_floats,
     storage_floats_with_betas,
 )
-from bandedhh.factor import _complement_basis
+from bandedhh.factor import _banded_qr, _complement_basis
 
 
 def random_matrix(m, n, seed):
@@ -327,3 +331,125 @@ class TestExtremeMagnitudes:
         z = random_matrix(shape[0], 1, seed=1)[:, 0]
         g = f.reflectors
         assert np.linalg.norm(apply_transpose(g, apply(g, z)) - z) <= 1e-12 * np.linalg.norm(z)
+
+
+def _flip_copy(x):
+    return np.ascontiguousarray(x[::-1, ::-1])
+
+
+def _reference_banded_qr(l):
+    # The banded QR as it ran on explicit 180-degree copies, with the free
+    # entries gathered by fancy indexing.
+    m, n = l.shape
+    w = m - n
+    h, betas = np.linalg.qr(_flip_copy(l), mode="raw")
+    rows = np.arange(n)[:, None]
+    return BandedReflectors(m, h[rows, rows + 1 + np.arange(w)], betas), h
+
+
+def _reference_tall(a):
+    n = a.shape[1]
+    q_lq, r_lq = np.linalg.qr(_flip_copy(a).T)
+    g, h = _reference_banded_qr(r_lq.T)
+    return g, np.triu(h[:, :n].T) @ _flip_copy(q_lq.T)
+
+
+def _reference_complement(a):
+    m, n = a.shape
+    l = np.linalg.qr(_flip_copy(_complement_basis(a)).T, mode="r").T
+    g, _ = _reference_banded_qr(l)
+    return g, apply_to_matrix(g, a, transpose=True)[m - n :]
+
+
+def _bits(x):
+    # uint64 view of float64 data, so that -0.0 and 0.0 differ
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _assert_same_factor(f, g, core):
+    assert np.array_equal(_bits(f.reflectors.free_entries), _bits(g.free_entries))
+    assert np.array_equal(_bits(f.reflectors.betas), _bits(g.betas))
+    assert np.array_equal(_bits(f.core), _bits(core))
+
+
+class TestViewPipelinePin:
+    # LAPACK reads reversed views and the free entries come from a skewed
+    # view; the output must equal that of the copying pipeline bit for bit.
+    @pytest.mark.parametrize(
+        "case",
+        ["1000x200", "1500x300", "3x1", "n=1", "m-n=1", "rank n/10", "1e-300", "1e300"],
+    )
+    def test_tall_matches_copying_pipeline(self, case):
+        m, n, rank, scale = {
+            "1000x200": (1000, 200, None, 1.0),
+            "1500x300": (1500, 300, None, 1.0),
+            "3x1": (3, 1, None, 1.0),
+            "n=1": (50, 1, None, 1.0),
+            "m-n=1": (40, 39, None, 1.0),
+            "rank n/10": (300, 100, 10, 1.0),
+            "1e-300": (60, 25, None, 1e-300),
+            "1e300": (60, 25, None, 1e300),
+        }[case]
+        rng = np.random.default_rng(m + n)
+        if rank is None:
+            a = rng.standard_normal((m, n)) * scale
+        else:
+            a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        _assert_same_factor(factor_tall(a), *_reference_tall(a))
+
+    @pytest.mark.parametrize("m,n", [(1000, 900), (1200, 1000), (30, 22)])
+    def test_complement_matches_copying_pipeline(self, m, n):
+        a = random_matrix(m, n, m - n)
+        _assert_same_factor(factor_complement(a), *_reference_complement(a))
+
+
+class TestInputLayouts:
+    # LAPACK reads views of the validated input, so the memory layout and
+    # dtype of the caller's array must change neither the output nor the
+    # array itself.
+    @staticmethod
+    def _layouts(m, n, seed):
+        base = random_matrix(2 * m, n, seed)
+        base[0, 0] = base[2, 1] = -0.0
+        return {
+            "fortran": np.asfortranarray(base[:m]),
+            "row-strided": base[::2],
+            "negative-stride": base[m - 1 :: -1, ::-1],
+            "int": np.random.default_rng(seed).integers(-5, 6, size=(m, n)),
+        }
+
+    @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
+    @pytest.mark.parametrize("m,n", [(40, 12), (40, 30)])
+    def test_layout_independent_and_input_untouched(self, method, m, n):
+        for name, x in self._layouts(m, n, m + n).items():
+            before = x.copy()
+            f = method(x)
+            assert x.dtype == before.dtype and np.array_equal(
+                np.ascontiguousarray(x).view(np.uint8), before.view(np.uint8)
+            ), name
+            expected = method(np.ascontiguousarray(x, dtype=np.float64))
+            assert f.placement is expected.placement, name
+            _assert_same_factor(f, expected.reflectors, expected.core)
+
+
+class TestBandLeakCheck:
+    # _banded_qr is only ever given the lower-trapezoidal L of an LQ; a dense
+    # matrix would need reflection vectors longer than the band.
+    def test_dense_input_raises(self):
+        with pytest.raises(RuntimeError, match="leaked outside the band"):
+            _banded_qr(random_matrix(8, 5, 0))
+
+    def test_dense_input_raises_under_optimize_flag(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import numpy as np\n"
+            "from bandedhh.factor import _banded_qr\n"
+            "_banded_qr(np.random.default_rng(0).standard_normal((8, 5)))\n"
+        )
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 1
+        assert "RuntimeError: reflection vector leaked outside the band" in result.stderr
