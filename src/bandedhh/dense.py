@@ -8,8 +8,9 @@ once on its input. flip180 is not a factorization step; the factorization
 rotates by 180 degrees with reversed views (x[::-1, ::-1]) that LAPACK
 reads directly, and flip180 remains as a copying reference for tests.
 
-There is no Householder kernel here. The LQ and QR steps of the
-factorization are LAPACK dgeqrf, reached through np.linalg.qr (see
+There is no Householder kernel here. Both QR steps of the factorization
+(of the bottom n x n block, which gives the band basis, and the banded
+QR) are LAPACK dgeqrf, reached through np.linalg.qr (see
 factor.factor_tall), and the reflectors come out of LAPACK dlarfg with
 the convention the stored factors use: v = x + sign(x[0]) ||x|| e1,
 scaled so its leading component is an implicit 1, and beta = 2 / (v'v).

@@ -120,21 +120,19 @@ class CompactSubspaceFactor:
 def factor_tall(a) -> CompactSubspaceFactor:
     """Factor a = G (B; 0) with G a banded product of n reflections.
 
-    Pipeline: rotate a by 180 degrees, take an LQ factorization, rotate L
-    back, and run Householder QR on the result. The rotated L has exact
-    zeros below the band (row > col + m - n), so every reflection vector
-    is confined to the band and its tail fits in m - n stored entries.
-    B is R times the rotated Q.
+    Pipeline: rotate a into band form by an orthogonal n x n X (see
+    _band_basis), run Householder QR on a X, and set B = R X'. a X is zero
+    below the band (row > col + m - n), so every reflection vector is
+    confined to the band and its tail fits in m - n stored entries.
 
-    Both Householder steps are LAPACK dgeqrf through np.linalg.qr: the LQ
-    is the reduced QR of the transpose, and the banded QR reads its
-    reflectors straight from mode="raw". The 180 degree rotations of a and
-    of L are reversed views (x[::-1, ::-1]) that np.linalg.qr copies for
-    LAPACK itself: the input is validated on entry and left unchanged, and
-    a C-ordered float64 input is not copied beforehand. Intermediates are
+    X comes from the QR of the bottom n x n block of a alone (rotated by
+    180 degrees), so a X costs that small QR plus one GEMM over the top
+    m - n rows. Both Householder steps are LAPACK dgeqrf through
+    np.linalg.qr, and the banded QR reads its reflectors straight from
+    mode="raw". The input is validated on entry and left unchanged, and a
+    C-ordered float64 input is not copied beforehand. Intermediates are
     not validated again. The free entries are read from LAPACK's output
-    through one skewed strided view. Only the n x n rotated Q is copied,
-    to C order, for the core product.
+    through one skewed strided view.
 
     dlarfg scales its norms, so any finite input factors without overflow
     or underflow. Sign convention: v = x + sign(x[0]) ||x|| e1 with sign()
@@ -156,26 +154,45 @@ def factor_tall(a) -> CompactSubspaceFactor:
     if n == 0:
         g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
         return CompactSubspaceFactor(g, np.zeros((0, 0)), Placement.TOP)
-    # LQ of a rotated by 180 degrees from the QR of its transpose: L = R', Q = Q'.
-    q_lq, r_lq = np.linalg.qr(a[::-1, ::-1].T)
-    g, h = _banded_qr(r_lq.T)
-    # matmul would pass the reversed view to BLAS in another layout, and
-    # OpenBLAS's small-matrix dgemm kernels round differently for it.
-    core = np.triu(h[:, :n].T) @ np.ascontiguousarray(q_lq.T[::-1, ::-1])
+    band, x = _band_basis(a)
+    g, h = _banded_qr(band)
+    core = np.triu(h[:, :n].T) @ x.T
     return CompactSubspaceFactor(g, core, Placement.TOP)
 
 
-def _banded_qr(l: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
-    """Reflectors of the raw QR of l rotated by 180 degrees, l the L of an LQ.
+def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Band form a X of a tall a, and the orthogonal n x n X, C-ordered.
+
+    With w = m - n and P the reversal, the QR of the rotated bottom block,
+    P a[w:]' P = Q R, gives X = P Q P, and a[w:] X = P R' P is upper
+    triangular: those rows of a X are R itself, exact zeros included. The
+    top w rows are a[:w] - a[:w] (I - X), one GEMM with inner dimension n;
+    written that way, X = I (an already triangular block, whose
+    reflections LAPACK skips) passes them through bit for bit, -0.0
+    included, where a[:w] X would turn -0.0 into 0.0.
+    """
+    m, n = a.shape
+    w = m - n
+    q, r = np.linalg.qr(a[w:][::-1, ::-1].T)
+    x = np.ascontiguousarray(q[::-1, ::-1])
+    band = np.empty((m, n))
+    band[w:] = r.T[::-1, ::-1]
+    np.matmul(a[:w], np.eye(n) - x, out=band[:w])
+    np.subtract(a[:w], band[:w], out=band[:w])
+    return band, x
+
+
+def _banded_qr(band: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
+    """Reflectors of the raw QR of band, which is zero below row col + m - n.
 
     Also returns LAPACK's output transposed, h: row i holds column i of R
     up to the diagonal, then the tail of reflection i. The first m - n
     tail entries are the free entries; the rest, h[i, i+1+w:], are
     structural zeros and exact by construction.
     """
-    m, n = l.shape
+    m, n = band.shape
     w = m - n
-    h, betas = np.linalg.qr(l[::-1, ::-1], mode="raw")
+    h, betas = np.linalg.qr(band, mode="raw")
     if np.triu(h[:, w + 1 :]).any():
         raise RuntimeError("reflection vector leaked outside the band")
     # Free entries of reflection i are h[i, i + 1 : i + 1 + w]: stepping one
@@ -205,10 +222,11 @@ def factor_complement(a) -> CompactSubspaceFactor:
     shape factor_auto sends here, the traced peak memory is about twice
     the input; otherwise U2 adds m (m - n) floats on top of that.
     The reflectors of factor_tall(U2) then give G, m - n reflections of
-    bandwidth n; only the L of its LQ is formed (mode="r"), not its Q or
-    core. As in factor_tall, that LQ reads a reversed view of U2 and the
-    banded QR one of its L, so the copies np.linalg.qr makes for LAPACK
-    are the only copies of either.
+    bandwidth n, through the same _band_basis and banded QR; its core is
+    not formed. _band_basis forms the Q of the bottom (m - n) x (m - n)
+    block of U2, which on the near-square shapes factor_auto sends here is
+    small. On input with m - n > n that Q is larger than the input (996 x
+    996 at 1000 x 4); factor_tall is the right call for such input.
     B is the bottom n rows of G' a. The top m - n rows of G' a vanish
     because the complement is orthogonal to range(a).
 
@@ -226,8 +244,7 @@ def factor_complement(a) -> CompactSubspaceFactor:
     if n == 0:
         g = BandedReflectors(m, np.zeros((m, 0)), np.zeros(m))
     else:
-        l = np.linalg.qr(_complement_basis(a)[::-1, ::-1].T, mode="r").T
-        g, _ = _banded_qr(l)
+        g, _ = _banded_qr(_band_basis(_complement_basis(a))[0])
     gt_a = _kernels.apply_plan(g, a.copy(), transpose=True)
     core = np.ascontiguousarray(gt_a[m - n :])
     return CompactSubspaceFactor(g, core, Placement.BOTTOM)

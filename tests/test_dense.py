@@ -84,8 +84,8 @@ class TestOrthogonalityDefect:
 class TestHouseholderQR:
     """The banded QR stage of factor_tall, LAPACK dgeqrf via np.linalg.qr.
 
-    Its reflectors are the stored free entries and betas; its R times the
-    rotated LQ factor is the core.
+    Its reflectors are the stored free entries and betas; its R times X',
+    the rotation that puts the input in band form, is the core.
     """
 
     def test_identity_skips_everything(self):
@@ -146,7 +146,7 @@ class TestHouseholderQR:
 
 
 class TestLQ:
-    """The LQ stage of factor_tall: the reduced QR of flip180(a)', transposed."""
+    """The band-basis stage of factor_tall: the QR of the rotated bottom block."""
 
     def test_row_vector(self):
         # one column: |B| is the column norm and G's first column is a / B
@@ -162,7 +162,7 @@ class TestLQ:
         assert np.array_equal(reconstruct_a(f), np.eye(6, 3))
 
     def test_wide_reconstruction(self):
-        # the LQ's own QR runs on the wide 3 x 7 transpose
+        # four top rows go through the GEMM, three through the block's QR
         rng = np.random.default_rng(9)
         a = rng.standard_normal((7, 3))
         assert rel_err(reconstruct_a(factor_tall(a)), a) <= 1e-13
@@ -176,8 +176,8 @@ class TestLQ:
         assert rel_err(reconstruct_a(f), a) <= 1e-13
 
     def test_strict_upper_exactly_zero(self):
-        # L' is upper triangular, so flip180(L) is zero below the band and
-        # every reflector fits in it; factor_tall asserts that bit-exactly
+        # the band basis is zero below the band, so every reflector fits in
+        # it; factor_tall asserts that bit-exactly
         rng = np.random.default_rng(11)
         for m, n in ((6, 4), (10, 3), (9, 8)):
             g = factor_tall(rng.standard_normal((m, n))).reflectors

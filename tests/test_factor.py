@@ -23,7 +23,7 @@ from bandedhh import (
     storage_floats,
     storage_floats_with_betas,
 )
-from bandedhh.factor import _banded_qr, _complement_basis
+from bandedhh.factor import _band_basis, _banded_qr, _complement_basis
 
 
 def random_matrix(m, n, seed):
@@ -337,28 +337,47 @@ def _flip_copy(x):
     return np.ascontiguousarray(x[::-1, ::-1])
 
 
-def _reference_banded_qr(l):
-    # The banded QR as it ran on explicit 180-degree copies, with the free
-    # entries gathered by fancy indexing.
-    m, n = l.shape
+def _reference_band_basis(a):
+    # _band_basis on explicit 180-degree copies, with plain temporaries.
+    m, n = a.shape
     w = m - n
-    h, betas = np.linalg.qr(_flip_copy(l), mode="raw")
+    q, r = np.linalg.qr(_flip_copy(a[w:]).T)
+    x = _flip_copy(q)
+    return np.vstack([a[:w] - a[:w] @ (np.eye(n) - x), _flip_copy(r.T)]), x
+
+
+def _reference_banded_qr(band):
+    # The banded QR with the free entries gathered by fancy indexing.
+    m, n = band.shape
+    w = m - n
+    h, betas = np.linalg.qr(band, mode="raw")
     rows = np.arange(n)[:, None]
     return BandedReflectors(m, h[rows, rows + 1 + np.arange(w)], betas), h
 
 
 def _reference_tall(a):
+    # x.T stays a transposed view, as in factor_tall: a C-ordered copy of it
+    # would reach OpenBLAS's small-matrix dgemm kernels in another layout,
+    # and they round differently for it (seen at 60x25 and 300x100).
     n = a.shape[1]
-    q_lq, r_lq = np.linalg.qr(_flip_copy(a).T)
-    g, h = _reference_banded_qr(r_lq.T)
-    return g, np.triu(h[:, :n].T) @ _flip_copy(q_lq.T)
+    band, x = _reference_band_basis(a)
+    g, h = _reference_banded_qr(band)
+    return g, np.triu(h[:, :n].T) @ x.T
 
 
 def _reference_complement(a):
     m, n = a.shape
-    l = np.linalg.qr(_flip_copy(_complement_basis(a)).T, mode="r").T
-    g, _ = _reference_banded_qr(l)
+    g, _ = _reference_banded_qr(_reference_band_basis(_complement_basis(a))[0])
     return g, apply_to_matrix(g, a, transpose=True)[m - n :]
+
+
+def _lq_reference_tall(a):
+    # The retired pipeline: an LQ of the whole of a rotated by 180 degrees,
+    # L rotated back into band form, on explicit copies.
+    n = a.shape[1]
+    q_lq, r_lq = np.linalg.qr(_flip_copy(a).T)
+    g, h = _reference_banded_qr(_flip_copy(r_lq.T))
+    return g, np.triu(h[:, :n].T) @ _flip_copy(q_lq.T)
 
 
 def _bits(x):
@@ -372,35 +391,146 @@ def _assert_same_factor(f, g, core):
     assert np.array_equal(_bits(f.core), _bits(core))
 
 
+_PIN_CASES = {
+    "1000x200": (1000, 200, None, 1.0),
+    "1500x300": (1500, 300, None, 1.0),
+    "3x1": (3, 1, None, 1.0),
+    "n=1": (50, 1, None, 1.0),
+    "m-n=1": (40, 39, None, 1.0),
+    "rank n/10": (300, 100, 10, 1.0),
+    "1e-300": (60, 25, None, 1e-300),
+    "1e300": (60, 25, None, 1e300),
+}
+
+
+def _pin_matrix(case):
+    m, n, rank, scale = _PIN_CASES[case]
+    rng = np.random.default_rng(m + n)
+    if rank is None:
+        return rng.standard_normal((m, n)) * scale
+    return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+
+
 class TestViewPipelinePin:
-    # LAPACK reads reversed views and the free entries come from a skewed
-    # view; the output must equal that of the copying pipeline bit for bit.
-    @pytest.mark.parametrize(
-        "case",
-        ["1000x200", "1500x300", "3x1", "n=1", "m-n=1", "rank n/10", "1e-300", "1e300"],
-    )
+    # LAPACK reads reversed views, the band basis is written into one
+    # preallocated array and the free entries come from a skewed view; the
+    # output must equal that of the copying pipeline bit for bit.
+    @pytest.mark.parametrize("case", list(_PIN_CASES))
     def test_tall_matches_copying_pipeline(self, case):
-        m, n, rank, scale = {
-            "1000x200": (1000, 200, None, 1.0),
-            "1500x300": (1500, 300, None, 1.0),
-            "3x1": (3, 1, None, 1.0),
-            "n=1": (50, 1, None, 1.0),
-            "m-n=1": (40, 39, None, 1.0),
-            "rank n/10": (300, 100, 10, 1.0),
-            "1e-300": (60, 25, None, 1e-300),
-            "1e300": (60, 25, None, 1e300),
-        }[case]
-        rng = np.random.default_rng(m + n)
-        if rank is None:
-            a = rng.standard_normal((m, n)) * scale
-        else:
-            a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        a = _pin_matrix(case)
         _assert_same_factor(factor_tall(a), *_reference_tall(a))
 
     @pytest.mark.parametrize("m,n", [(1000, 900), (1200, 1000), (30, 22)])
     def test_complement_matches_copying_pipeline(self, m, n):
         a = random_matrix(m, n, m - n)
         _assert_same_factor(factor_complement(a), *_reference_complement(a))
+
+
+class TestRetiredLQOracle:
+    # The band basis used to come from an LQ of the whole input. Its
+    # orthogonal factor is fixed by the bottom n x n block alone, so on
+    # full-rank input both pipelines give the same G up to rounding. At
+    # rank n/10, n - rank reflections act on rounding noise and G is not
+    # unique; what both must share is the projector G1 G1' (G1 = the first
+    # n columns of G) on range(a), where it is the identity.
+    @pytest.mark.parametrize("case", list(_PIN_CASES))
+    def test_tall_agrees_with_lq_pipeline(self, case):
+        a = _pin_matrix(case)
+        m, n = a.shape
+        f = factor_tall(a).reflectors
+        old, _ = _lq_reference_tall(a)
+        if _PIN_CASES[case][2] is None:
+            assert np.abs(f.free_entries - old.free_entries).max() <= 1e-12
+            assert np.abs(f.betas - old.betas).max() <= 1e-12
+        else:
+            u = np.linalg.svd(a, full_matrices=False)[0][:, : _PIN_CASES[case][2]]
+            projected = []
+            for g in (f, old):
+                g1 = apply_to_matrix(g, np.eye(m, n))
+                projected.append(g1 @ (g1.T @ u))
+            assert np.linalg.norm(projected[0] - projected[1], 2) <= 1e-12
+
+
+def _probe(g):
+    # ||G'G z - z|| / ||z||, without forming G
+    z = random_matrix(g.ambient_dim, 1, seed=1)[:, 0]
+    return np.linalg.norm(apply_transpose(g, apply(g, z)) - z) / np.linalg.norm(z)
+
+
+def _edge_block(case, rows, n, rng):
+    """A rows x n block whose bottom n x n part is the named edge case."""
+    block = rng.standard_normal((rows, n))
+    w = rows - n
+    if case == "zero":
+        block[w:] = 0.0
+    elif case == "rank 1":
+        block[w:] = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+    elif case == "duplicated rows":
+        block[w + n // 2 :] = block[w : w + n - n // 2]
+    elif case == "triangular":
+        block[w:] = np.triu(block[w:])
+        block[:w][block[:w] < -0.5] = -0.0
+    return block
+
+
+class TestBandBasisEdgeCases:
+    # The rotation X of _band_basis comes from the bottom n x n block alone.
+    # When that block is zero, of rank 1 or has repeated rows, most of X is
+    # fixed by rounding noise, and when it is already triangular X = I; the
+    # band form must still be exact and the factor still hold.
+    CASES = ["zero", "rank 1", "duplicated rows", "triangular"]
+
+    @staticmethod
+    def _check_band(u):
+        band, x = _band_basis(u)
+        m, n = u.shape
+        assert not np.tril(band[m - n :], -1).any()
+        assert np.linalg.norm(x.T @ x - np.eye(n)) <= 1e-13 * np.sqrt(n)
+        return band, x
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_tall(self, case):
+        a = _edge_block(case, 30, 12, np.random.default_rng(30))
+        band, x = self._check_band(a)
+        if case == "triangular":
+            top = a[:18]
+            assert (top == 0.0).any() and np.signbit(top[top == 0.0]).all()
+            assert np.array_equal(x, np.eye(12))
+            assert np.array_equal(_bits(band[:18]), _bits(top))
+        f = factor_tall(a)
+        assert rel_err(reconstruct_a(f), a) <= 1e-12
+        assert _probe(f.reflectors) <= 1e-12
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_complement_basis(self, case):
+        # a spans the orthogonal complement of a chosen 30 x 8 u, so the
+        # U2 that factor_complement computes spans range(u), and its bottom
+        # 8 x 8 block is that of u times an invertible 8 x 8 matrix.
+        m, n = 30, 22
+        rng = np.random.default_rng(31)
+        if case == "triangular":
+            # range(a) inside the first n coordinates: U2 = (0; I) exactly
+            a = np.vstack([rng.standard_normal((n, n)), np.zeros((m - n, n))])
+        else:
+            u = _edge_block(case, m, m - n, rng)
+            a = np.linalg.qr(u, mode="complete")[0][:, m - n :] @ rng.standard_normal((n, n))
+        u2 = _complement_basis(a)
+        bottom = u2[n:]
+        if case == "zero":
+            assert np.linalg.norm(bottom) <= 1e-14
+        elif case == "rank 1":
+            s = np.linalg.svd(bottom, compute_uv=False)
+            assert s[1] <= 1e-14 * s[0]
+        elif case == "duplicated rows":
+            assert np.linalg.norm(bottom[4:] - bottom[:4]) <= 1e-14
+        band, x = self._check_band(u2)
+        if case == "triangular":
+            assert np.array_equal(u2, np.eye(m, m - n, -n))
+            assert np.array_equal(x, np.eye(m - n))
+            assert np.array_equal(_bits(band), _bits(u2))
+        f = factor_complement(a)
+        assert rel_err(reconstruct_a(f), a) <= 1e-12
+        assert _probe(f.reflectors) <= 1e-12
 
 
 class TestInputLayouts:
@@ -433,7 +563,7 @@ class TestInputLayouts:
 
 
 class TestBandLeakCheck:
-    # _banded_qr is only ever given the lower-trapezoidal L of an LQ; a dense
+    # _banded_qr is only ever given a band form from _band_basis; a dense
     # matrix would need reflection vectors longer than the band.
     def test_dense_input_raises(self):
         with pytest.raises(RuntimeError, match="leaked outside the band"):
