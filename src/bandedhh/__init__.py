@@ -13,19 +13,17 @@ from .apply import (
     apply_counted,
     apply_to_matrix,
     apply_transpose,
-    build_wy,
     wy_chain,
 )
-from .dense import ShapeError, as_matrix, flip180, orthogonality_defect
 from .factor import (
     BandedReflectors,
     CompactSubspaceFactor,
     Placement,
+    ShapeError,
     factor_auto,
     factor_complement,
     factor_tall,
     reconstruct_a,
-    reconstruct_g,
     storage_floats,
     storage_floats_with_betas,
 )
@@ -35,7 +33,6 @@ from .storage import (
     FactorFormatError,
     MatrixFormatError,
     TruncatedPayloadError,
-    factor_byte_length,
     read_factor,
     read_matrix,
     write_factor,
@@ -52,20 +49,15 @@ __all__ = [
     "apply_counted",
     "apply_to_matrix",
     "apply_transpose",
-    "build_wy",
     "wy_chain",
-    "ShapeError",
-    "as_matrix",
-    "flip180",
-    "orthogonality_defect",
     "BandedReflectors",
     "CompactSubspaceFactor",
     "Placement",
+    "ShapeError",
     "factor_auto",
     "factor_complement",
     "factor_tall",
     "reconstruct_a",
-    "reconstruct_g",
     "storage_floats",
     "storage_floats_with_betas",
     "BadMagicError",
@@ -73,7 +65,6 @@ __all__ = [
     "FactorFormatError",
     "MatrixFormatError",
     "TruncatedPayloadError",
-    "factor_byte_length",
     "read_factor",
     "read_matrix",
     "write_factor",

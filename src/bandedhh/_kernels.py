@@ -47,11 +47,6 @@ class BlockedWY:
     def block_size(self) -> int:
         return self.t_block.shape[0]
 
-    def overhead_floats(self) -> int:
-        """Scalars T adds on top of the banded data: b(b + 1)/2."""
-        b = self.block_size
-        return b * (b + 1) // 2
-
 
 def _block_t(vt: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """T of I - V T V' from V' (b x rows) and the b betas, or a stack of both."""

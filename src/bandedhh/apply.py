@@ -24,8 +24,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import BLOCK_SIZE, BlockedWY
-from .dense import ShapeError
-from .factor import BandedReflectors
+from .factor import BandedReflectors, ShapeError
 
 __all__ = [
     "FlopCounter",
@@ -34,7 +33,6 @@ __all__ = [
     "apply_counted",
     "apply_to_matrix",
     "BlockedWY",
-    "build_wy",
     "wy_chain",
     "apply_blocked",
 ]
@@ -66,7 +64,7 @@ def _vector_copy(g: BandedReflectors, x) -> np.ndarray:
         raise ShapeError(
             f"expected a vector of length {g.ambient_dim}, got shape {out.shape}"
         )
-    return np.ascontiguousarray(out)
+    return out
 
 
 def apply(g: BandedReflectors, x) -> np.ndarray:
@@ -114,20 +112,6 @@ def apply_to_matrix(g: BandedReflectors, a, transpose: bool = False) -> np.ndarr
 def _check_block_size(block_size: int) -> None:
     if block_size < 1:
         raise ShapeError("block size must be at least 1")
-
-
-def build_wy(g: BandedReflectors, start: int, block_size: int) -> BlockedWY:
-    """Aggregate reflections start .. start + block_size - 1 into WY form.
-
-    Built the same way as the blocks of the cached plan, but not cached.
-    """
-    _check_block_size(block_size)
-    if start < 0 or start + block_size > g.count:
-        raise IndexError(
-            f"block [{start}, {start + block_size}) out of range for "
-            f"{g.count} reflections"
-        )
-    return _kernels.build_blocks(g, start, block_size, 1)[0]
 
 
 def wy_chain(g: BandedReflectors, block_size: int) -> tuple[BlockedWY, ...]:

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import storage
 from .apply import BLOCK_SIZE, apply, apply_blocked, apply_to_matrix, apply_transpose, wy_chain
-from .dense import ShapeError
 from .factor import (
     BandedReflectors,
     Placement,
+    ShapeError,
     factor_auto,
     factor_complement,
     factor_tall,

@@ -19,20 +19,38 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import _kernels
-from .dense import ShapeError, as_matrix
 
 __all__ = [
+    "ShapeError",
+    "as_matrix",
     "Placement",
     "BandedReflectors",
     "CompactSubspaceFactor",
     "factor_tall",
     "factor_complement",
     "factor_auto",
-    "reconstruct_g",
     "reconstruct_a",
     "storage_floats",
     "storage_floats_with_betas",
 ]
+
+
+class ShapeError(ValueError):
+    """Matrix dimensions do not satisfy an operation's requirements."""
+
+
+def as_matrix(a) -> np.ndarray:
+    """Validate a as a 2-D float64 C-ordered matrix and return it.
+
+    Rejects anything that is not two-dimensional and any NaN/Inf entry;
+    all downstream invariants assume finite arithmetic.
+    """
+    out = np.ascontiguousarray(a, dtype=np.float64)
+    if out.ndim != 2:
+        raise ShapeError(f"expected a 2-D matrix, got ndim={out.ndim}")
+    if out.size and not np.isfinite(out).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return out
 
 
 class Placement(Enum):
@@ -83,13 +101,6 @@ class BandedReflectors:
     def bandwidth(self) -> int:
         return self.free_entries.shape[1]
 
-    def implied_vector(self, i: int) -> np.ndarray:
-        """Materialize reflection vector i as a dense length-m array."""
-        v = np.zeros(self.ambient_dim)
-        v[i] = 1.0
-        v[i + 1 : i + 1 + self.bandwidth] = self.free_entries[i]
-        return v
-
 
 @dataclass
 class CompactSubspaceFactor:
@@ -138,6 +149,13 @@ def factor_tall(a) -> CompactSubspaceFactor:
     or underflow. Sign convention: v = x + sign(x[0]) ||x|| e1 with sign()
     read from the sign bit, so a -0.0 pivot counts as negative; a column
     that is already zero below its pivot gets beta = 0 (the identity).
+
+    Accuracy: with both sides divided by max|a| first, so that neither norm
+    underflows, ||reconstruct_a(f) - a||_F / ||a||_F is at most 1e-12 +
+    4 sqrt(m) 2^-1074 / max|a|. The second term is a floor, not a defect:
+    the core and the reconstruction are float64 matrices, so on subnormal
+    input each entry carries an absolute error of a few units of the
+    subnormal spacing 2^-1074. It is negligible for max|a| >= 1e-300.
 
     Results are bit-identical for the same input on the same numpy,
     LAPACK and BLAS build with the same BLAS thread count.
@@ -263,23 +281,6 @@ def factor_auto(a) -> CompactSubspaceFactor:
     if m - n >= n:
         return factor_tall(a)
     return factor_complement(a)
-
-
-def reconstruct_g(g: BandedReflectors) -> np.ndarray:
-    """Dense m x m product H_1 H_2 ... H_k built one reflection at a time.
-
-    Deliberately slow and simple; serves as the independent oracle for the
-    WY apply engine.
-    """
-    m = g.ambient_dim
-    out = np.eye(m)
-    for i in range(g.count):
-        beta = g.betas[i]
-        if beta == 0.0:
-            continue
-        v = g.implied_vector(i)
-        out = out @ (np.eye(m) - beta * np.outer(v, v))
-    return out
 
 
 def reconstruct_a(f: CompactSubspaceFactor) -> np.ndarray:

@@ -37,8 +37,7 @@ import struct
 
 import numpy as np
 
-from .dense import as_matrix
-from .factor import BandedReflectors, CompactSubspaceFactor, Placement
+from .factor import BandedReflectors, CompactSubspaceFactor, Placement, as_matrix
 
 __all__ = [
     "MAGIC",
@@ -47,7 +46,6 @@ __all__ = [
     "TruncatedPayloadError",
     "DimensionError",
     "MatrixFormatError",
-    "factor_byte_length",
     "write_factor",
     "read_factor",
     "write_matrix",
@@ -79,12 +77,6 @@ class MatrixFormatError(ValueError):
     """A matrix text file is malformed."""
 
 
-def factor_byte_length(m: int, n: int, k: int, w: int) -> int:
-    """Exact file size for the given header dimensions."""
-    del m
-    return len(MAGIC) + _HEADER.size + 8 * (k + k * w + n * n)
-
-
 def write_factor(f: CompactSubspaceFactor, sink) -> int:
     """Serialize f to a binary stream; returns the exact byte count."""
     g = f.reflectors
@@ -95,7 +87,7 @@ def write_factor(f: CompactSubspaceFactor, sink) -> int:
     sink.write(g.betas.astype("<f8", copy=False).tobytes())
     sink.write(g.free_entries.astype("<f8", copy=False).tobytes())
     sink.write(f.core.astype("<f8", copy=False).tobytes())
-    return factor_byte_length(m, n, k, w)
+    return len(MAGIC) + _HEADER.size + 8 * (k + k * w + n * n)
 
 
 def _read_exact(source, nbytes: int, offset: int, what: str) -> bytes:

@@ -1,0 +1,53 @@
+"""The public surface: what the README shows runs, and __all__ is pinned."""
+import re
+from pathlib import Path
+
+import bandedhh
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC = {
+    "BlockedWY",
+    "FlopCounter",
+    "apply",
+    "apply_blocked",
+    "apply_counted",
+    "apply_to_matrix",
+    "apply_transpose",
+    "wy_chain",
+    "BandedReflectors",
+    "CompactSubspaceFactor",
+    "Placement",
+    "ShapeError",
+    "factor_auto",
+    "factor_complement",
+    "factor_tall",
+    "reconstruct_a",
+    "storage_floats",
+    "storage_floats_with_betas",
+    "BadMagicError",
+    "DimensionError",
+    "FactorFormatError",
+    "MatrixFormatError",
+    "TruncatedPayloadError",
+    "read_factor",
+    "read_matrix",
+    "write_factor",
+    "write_matrix",
+    "__version__",
+}
+
+
+def test_readme_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    assert namespace["counter"].total == 4 * 40 * 160 + 2 * 40 == 25680
+
+
+def test_all_is_the_documented_surface():
+    assert len(bandedhh.__all__) == len(PUBLIC) == 28
+    assert set(bandedhh.__all__) == PUBLIC
+    for name in PUBLIC:
+        getattr(bandedhh, name)

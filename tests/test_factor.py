@@ -17,13 +17,12 @@ from bandedhh import (
     factor_auto,
     factor_complement,
     factor_tall,
-    orthogonality_defect,
     reconstruct_a,
-    reconstruct_g,
     storage_floats,
     storage_floats_with_betas,
 )
-from bandedhh.factor import _band_basis, _banded_qr, _complement_basis
+from bandedhh.factor import _band_basis, _banded_qr, _complement_basis, as_matrix
+from oracle import implied_vector, orthogonality_defect, reconstruct_g
 
 
 def random_matrix(m, n, seed):
@@ -50,7 +49,7 @@ class TestBandedReflectors:
 
     def test_implied_vector_pattern(self):
         g = BandedReflectors(5, np.arange(6.0).reshape(2, 3) + 1.0, np.ones(2))
-        v1 = g.implied_vector(1)
+        v1 = implied_vector(g, 1)
         assert np.array_equal(v1, [0.0, 1.0, 4.0, 5.0, 6.0])
 
 
@@ -91,7 +90,7 @@ class TestFactorTall:
         f = factor_tall(random_matrix(9, 3, 2))
         g = f.reflectors
         for i in range(g.count):
-            v = g.implied_vector(i)
+            v = implied_vector(g, i)
             assert not v[:i].any()
             assert v[i] == 1.0
             assert not v[i + 1 + g.bandwidth :].any()
@@ -319,8 +318,9 @@ class TestHigherProperties:
 
 class TestExtremeMagnitudes:
     # Gaussian input scaled far from 1 in both directions; LAPACK's scaled
-    # norms keep every step finite and accurate. Denormal input is not
-    # covered: a core stored in denormals keeps only a few significant bits.
+    # norms keep every step finite and accurate. Subnormal input, where a
+    # core stored in subnormals keeps only a few significant bits, is in
+    # TestSubnormalFloor.
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-150, 1e150, 1e160, 1e300])
     @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
     @pytest.mark.parametrize("shape", [(30, 7), (30, 22)])
@@ -329,6 +329,24 @@ class TestExtremeMagnitudes:
         f = method(a)
         assert rel_err(reconstruct_a(f), a) <= 1e-12
         z = random_matrix(shape[0], 1, seed=1)[:, 0]
+        g = f.reflectors
+        assert np.linalg.norm(apply_transpose(g, apply(g, z)) - z) <= 1e-12 * np.linalg.norm(z)
+
+
+class TestSubnormalFloor:
+    # The stated contract of factor_tall: scale-safe relative error at most
+    # 1e-12 + 4 sqrt(m) 2^-1074 / max|a|. The second term is the subnormal
+    # spacing relative to the input; G itself stays orthogonal.
+    @pytest.mark.parametrize("scale", [1e-310, 1e-315, 1e-320])
+    @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
+    @pytest.mark.parametrize("shape", [(3, 1), (12, 3), (30, 7), (30, 22), (40, 39)])
+    def test_reconstruction_within_floor(self, shape, method, scale):
+        m = shape[0]
+        a = random_matrix(*shape, seed=shape[1]) * scale
+        f = method(a)
+        floor = 4 * np.sqrt(m) * 2.0**-1074 / np.abs(a).max()
+        assert rel_err(reconstruct_a(f), a) <= 1e-12 + floor
+        z = random_matrix(m, 1, seed=1)[:, 0]
         g = f.reflectors
         assert np.linalg.norm(apply_transpose(g, apply(g, z)) - z) <= 1e-12 * np.linalg.norm(z)
 
@@ -583,3 +601,143 @@ class TestBandLeakCheck:
         )
         assert result.returncode == 1
         assert "RuntimeError: reflection vector leaked outside the band" in result.stderr
+
+
+class TestAsMatrix:
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            as_matrix([[1.0, np.nan]])
+
+    def test_rejects_inf(self):
+        with pytest.raises(ValueError):
+            as_matrix([[np.inf], [0.0]])
+
+    def test_rejects_non_2d(self):
+        with pytest.raises(ShapeError):
+            as_matrix([1.0, 2.0])
+
+    def test_accepts_zero_columns(self):
+        assert as_matrix(np.zeros((3, 0))).shape == (3, 0)
+
+
+class TestOrthogonalityDefect:
+    def test_identity_is_zero(self):
+        assert orthogonality_defect(np.eye(4)) == 0.0
+
+    def test_hand_value(self):
+        assert orthogonality_defect([[2.0, 0.0], [0.0, 1.0]]) == 3.0
+
+    def test_qr_q_is_orthonormal(self):
+        # the leading n columns of G span range(a), like the reduced Q of a QR
+        rng = np.random.default_rng(5)
+        g = factor_tall(rng.standard_normal((8, 5))).reflectors
+        q = apply_to_matrix(g, np.eye(8, 5))
+        assert orthogonality_defect(q) <= 1e-13 * np.sqrt(5)
+
+
+class TestHouseholderQR:
+    """The banded QR stage of factor_tall, LAPACK dgeqrf via np.linalg.qr.
+
+    Its reflectors are the stored free entries and betas; its R times X',
+    the rotation that puts the input in band form, is the core.
+    """
+
+    def test_identity_skips_everything(self):
+        f = factor_tall(np.eye(8, 4))
+        assert np.array_equal(f.reflectors.betas, np.zeros(4))
+        assert not f.reflectors.free_entries.any()
+        assert np.array_equal(f.core, np.eye(4))
+
+    def test_hand_case_unit_column(self):
+        # x = (0, 1): v = x + ||x|| e1 = (1, 1), beta = 1, R = (-1)
+        f = factor_tall([[0.0], [1.0]])
+        assert f.reflectors.betas[0] == 1.0
+        assert np.array_equal(f.reflectors.free_entries, [[1.0]])
+        assert f.core[0, 0] == -1.0
+        assert np.array_equal(reconstruct_a(f), [[0.0], [1.0]])
+
+    def test_negative_zero_pivot_counts_as_negative(self):
+        # the sign comes from the sign bit: x = (-0.0, 1) gives
+        # v = x - ||x|| e1 = (-1, 1), scaled to (1, -1), beta = 1, R = (1)
+        f = factor_tall([[-0.0], [1.0]])
+        assert f.reflectors.betas[0] == 1.0
+        assert np.array_equal(f.reflectors.free_entries, [[-1.0]])
+        assert f.core[0, 0] == 1.0
+        assert np.array_equal(reconstruct_a(f), [[0.0], [1.0]])
+
+    def test_random_reconstruction(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((6, 3))
+        assert rel_err(reconstruct_a(factor_tall(a)), a) <= 1e-13
+
+    def test_r_subdiagonal_exactly_zero(self):
+        # G' a = (B; 0): the rows below the core vanish
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((8, 5))
+        f = factor_tall(a)
+        gt_a = apply_to_matrix(f.reflectors, a, transpose=True)
+        assert np.linalg.norm(gt_a[5:]) <= 1e-13 * np.linalg.norm(a)
+        assert np.linalg.norm(gt_a[:5] - f.core) <= 1e-13 * np.linalg.norm(a)
+
+    def test_beta_matches_vector(self):
+        rng = np.random.default_rng(8)
+        g = factor_tall(rng.standard_normal((9, 4))).reflectors
+        for tail, beta in zip(g.free_entries, g.betas):
+            assert beta == pytest.approx(2.0 / (1.0 + tail @ tail), rel=1e-15)
+
+    def test_wide_input_rejected(self):
+        for method in (factor_tall, factor_complement, factor_auto):
+            with pytest.raises(ShapeError):
+                method(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 2), (12, 11), (3, 1)])
+    def test_reconstruction_sweep(self, shape):
+        rng = np.random.default_rng(hash(shape) % 2**32)
+        a = rng.standard_normal(shape)
+        f = factor_auto(a)
+        assert rel_err(reconstruct_a(f), a) <= 1e-12
+        assert orthogonality_defect(reconstruct_g(f.reflectors)) <= 1e-13 * np.sqrt(shape[0])
+
+
+class TestLQ:
+    """The band-basis stage of factor_tall: the QR of the rotated bottom block."""
+
+    def test_row_vector(self):
+        # one column: |B| is the column norm and G's first column is a / B
+        f = factor_tall([[3.0], [4.0]])
+        assert abs(abs(f.core[0, 0]) - 5.0) < 1e-15
+        assert np.allclose(reconstruct_a(f), [[3.0], [4.0]], atol=1e-14)
+        g1 = apply_to_matrix(f.reflectors, np.eye(2, 1))
+        assert np.allclose(np.abs(g1), [[0.6], [0.8]], atol=1e-15)
+
+    def test_identity_skips(self):
+        f = factor_tall(np.eye(6, 3))
+        assert np.array_equal(reconstruct_g(f.reflectors), np.eye(6))
+        assert np.array_equal(reconstruct_a(f), np.eye(6, 3))
+
+    def test_wide_reconstruction(self):
+        # four top rows go through the GEMM, three through the block's QR
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((7, 3))
+        assert rel_err(reconstruct_a(factor_tall(a)), a) <= 1e-13
+
+    def test_tall_reconstruction(self):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((7, 3))
+        f = factor_tall(a)
+        assert f.core.shape == (3, 3)
+        assert f.reflectors.free_entries.shape == (3, 4)
+        assert rel_err(reconstruct_a(f), a) <= 1e-13
+
+    def test_strict_upper_exactly_zero(self):
+        # the band basis is zero below the band, so every reflector fits in
+        # it; factor_tall asserts that bit-exactly
+        rng = np.random.default_rng(11)
+        for m, n in ((6, 4), (10, 3), (9, 8)):
+            g = factor_tall(rng.standard_normal((m, n))).reflectors
+            assert g.free_entries.shape == (n, m - n)
+
+    def test_rows_orthonormal(self):
+        rng = np.random.default_rng(12)
+        g = factor_tall(rng.standard_normal((9, 4))).reflectors
+        assert orthogonality_defect(reconstruct_g(g)) <= 1e-12

@@ -10,7 +10,6 @@ from bandedhh import (
     FactorFormatError,
     MatrixFormatError,
     factor_auto,
-    factor_byte_length,
     factor_complement,
     factor_tall,
     read_factor,
@@ -40,7 +39,7 @@ class TestFactorFormat:
         f, _ = make_factor(7, 4)
         data = factor_bytes(f)
         assert len(data) == 280  # 24 + 8 * (4 + 12 + 16)
-        assert factor_byte_length(7, 4, 4, 3) == 280
+        assert write_factor(f, io.BytesIO()) == 280
 
     def test_square_length(self):
         f, _ = make_factor(3, 3)
