@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -5,7 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandedhh import cli, read_factor, read_matrix, reconstruct_a, write_matrix
+from bandedhh import (
+    CompactSubspaceFactor,
+    cli,
+    read_factor,
+    read_matrix,
+    reconstruct_a,
+    storage,
+    write_matrix,
+)
 from bandedhh.cli import main
 
 ORACLE_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "dense_apply_oracle.py"
@@ -80,6 +89,33 @@ class TestFactorCommand:
         assert "residual: nan" in captured.out
         assert "self-check: FAILED (residual nan" in captured.err
 
+    def test_self_check_fails_on_re_serialization(self, tmp_path, capsys, monkeypatch):
+        write_random(tmp_path / "a.txt", 12, 5, 5)
+        original = storage.read_factor
+
+        def nudged(source):
+            f = original(source)
+            core = f.core.copy()
+            core[0, 0] = np.nextafter(core[0, 0], np.inf)
+            return CompactSubspaceFactor(f.reflectors, core, f.placement)
+
+        monkeypatch.setattr(storage, "read_factor", nudged)
+        code = main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf"),
+                     "--self-check"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "self-check" not in captured.out
+        assert captured.err == "self-check: FAILED (re-serialization differs)\n"
+
+    def test_output_in_missing_directory(self, tmp_path, capsys):
+        write_random(tmp_path / "a.txt", 7, 4, 0)
+        code = main(["factor", str(tmp_path / "a.txt"),
+                     str(tmp_path / "missing" / "a.bhf")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestApplyCommand:
     def _factor(self, tmp_path, m, n, seed):
@@ -139,6 +175,33 @@ class TestApplyCommand:
         assert code == 1
         assert "magic" in capsys.readouterr().err
 
+    def test_matrix_instead_of_vector(self, tmp_path, capsys):
+        self._factor(tmp_path, 9, 4, 13)
+        write_random(tmp_path / "x.txt", 9, 2, 14)
+        capsys.readouterr()
+        code = main(["apply", str(tmp_path / "a.bhf"), str(tmp_path / "x.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: expected a column vector, got 9 x 2\n"
+
+    def test_missing_vector_file(self, tmp_path, capsys):
+        self._factor(tmp_path, 9, 4, 15)
+        capsys.readouterr()
+        code = main(["apply", str(tmp_path / "a.bhf"), str(tmp_path / "nope.txt")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_header_declaring_unreadable_payload(self, tmp_path, capsys):
+        # k + k w + n^2 doubles is more bytes than an index-sized integer holds
+        m, n = 2**31, 2**31 - 2
+        header = struct.pack("<5I", m, n, 0, n, m - n)
+        (tmp_path / "huge.bhf").write_bytes(b"BHF1" + header + bytes(64))
+        write_random(tmp_path / "x.txt", 5, 1, 16)
+        code = main(["apply", str(tmp_path / "huge.bhf"), str(tmp_path / "x.txt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: truncated payload")
+
 
 class TestReportCommand:
     def test_seven_by_four(self, capsys):
@@ -193,6 +256,16 @@ class TestBenchCommand:
 
     def test_usage_error(self, capsys):
         assert main(["bench", "4", "9"]) == 1
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--reps", "repetitions must be at least 1"),
+        ("--block-size", "block size must be at least 1"),
+    ])
+    def test_count_below_one(self, capsys, flag, message):
+        assert main(["bench", "8", "3", flag, "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestUsage:

@@ -9,6 +9,7 @@ import pytest
 
 from bandedhh import (
     BandedReflectors,
+    CompactSubspaceFactor,
     Placement,
     ShapeError,
     apply,
@@ -46,6 +47,23 @@ class TestBandedReflectors:
     def test_beta_length_checked(self):
         with pytest.raises(ShapeError):
             BandedReflectors(5, np.zeros((2, 3)), np.zeros(3))
+
+    def test_free_entries_must_be_2d(self):
+        with pytest.raises(ShapeError, match="2-D"):
+            BandedReflectors(5, np.zeros(3), np.zeros(3))
+
+
+class TestCompactSubspaceFactor:
+    def test_core_must_be_square(self):
+        g = factor_tall(random_matrix(7, 3, 0)).reflectors
+        with pytest.raises(ShapeError, match=r"^core must be square, got \(4, 3\)$"):
+            CompactSubspaceFactor(g, np.zeros((4, 3)), Placement.TOP)
+
+    def test_placement_needs_matching_count(self):
+        f = factor_tall(random_matrix(9, 4, 0))
+        with pytest.raises(ShapeError,
+                           match="^BOTTOM placement needs 5 reflections, got 4$"):
+            CompactSubspaceFactor(f.reflectors, f.core, Placement.BOTTOM)
 
     def test_implied_vector_pattern(self):
         g = BandedReflectors(5, np.arange(6.0).reshape(2, 3) + 1.0, np.ones(2))

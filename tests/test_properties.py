@@ -20,6 +20,7 @@ from bandedhh import (  # noqa: E402
     write_factor,
     write_matrix,
 )
+from bandedhh.storage import MatrixFormatError, _scan_rows  # noqa: E402
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]
@@ -42,6 +43,76 @@ def test_matrix_text_roundtrip_bit_exact(a):
     back = read_matrix(io.StringIO(text))
     assert back.shape == a.shape
     assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
+
+
+# Tokens float() reads, tokens it reads to a non-finite value, and tokens it
+# rejects; "#" would start a comment for np.loadtxt's default settings.
+ODD = st.sampled_from(
+    ["1_0", "+.5", "-0", "1e-400", "0x10", "nan", "-inf", "1e400", "#", "x",
+     "1,2", "'1'", "1.5e", "123456789012345678901234567890"]
+)
+VALUES = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: format(x, ".17g"))
+GAPS = st.text(alphabet=" \t\x0b\x0c", max_size=2)
+DEFECTS = st.sampled_from(["missing row", "extra row", "blank row", "short row",
+                           "long row", "short rows", "long rows"])
+
+
+# A header with m <= 4 and n <= 3 over rows of %.17g values, with up to two
+# defects of layout and up to two ODD tokens, so most files are near valid
+# ones; tokens are separated by runs of space, tab, \x0b and \x0c, and lines
+# end in LF or CRLF.
+@st.composite
+def matrix_texts(draw):
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    defects = draw(st.just([]) | st.lists(DEFECTS, min_size=1, max_size=2))
+    widths = [n] * m
+    for defect in defects:
+        if defect == "missing row":
+            widths = widths[:-1]
+        elif defect == "extra row":
+            widths.append(n)
+        elif defect in ("short rows", "long rows"):
+            widths = [max(w + (1 if defect == "long rows" else -1), 0) for w in widths]
+        elif widths:
+            i = draw(st.integers(0, len(widths) - 1))
+            step = {"blank row": -widths[i], "short row": -1, "long row": 1}[defect]
+            widths[i] = max(widths[i] + step, 0)
+    rows = [draw(st.lists(VALUES, min_size=w, max_size=w)) for w in widths]
+    filled = [i for i, row in enumerate(rows) if row]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2])) if filled else 0):
+        row = rows[draw(st.sampled_from(filled))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(ODD)
+    lines = [f"{m} {n}"]
+    for row in rows:
+        gaps = draw(st.lists(GAPS, min_size=len(row) + 1, max_size=len(row) + 1))
+        inner = [gap or " " for gap in gaps[1:-1]]  # tokens need a separator
+        parts = [gaps[0]]
+        for tok, gap in zip(row, inner + [gaps[-1]]):
+            parts += [tok, gap]
+        lines.append("".join(parts))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+def _read_outcome(read):
+    try:
+        a = read()
+    except MatrixFormatError as exc:
+        return str(exc)
+    return a.dtype, a.shape, a.tobytes()
+
+
+# The np.loadtxt fast path of read_matrix must agree, bit for bit and error
+# for error, with the line scan that defines the format.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrix_texts())
+@example("1 2\n1 2 # x\n")
+@example("2 1\n \n\t\n")
+@example("2 2\n1 2\r\n3\x0c4\r\n")
+def test_fast_path_agrees_with_scan(text):
+    m, n = (int(x) for x in text.split("\n")[0].split())
+    fast = _read_outcome(lambda: read_matrix(io.StringIO(text)))
+    assert fast == _read_outcome(lambda: _scan_rows(text.split("\n"), m, n))
 
 
 # (m, n, rank, k, seed): an m x n matrix of the given rank, drawn as a

@@ -1,4 +1,6 @@
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +115,45 @@ class TestFactorFormat:
         with pytest.raises(FactorFormatError, match="non-finite"):
             read_factor(io.BytesIO(bytes(data)))
 
+    # Consistent headers that declare far more payload than the file holds:
+    # 74.4 MB, and more bytes than an index-sized integer can count.
+    OVERSIZED = [(3100, 3000, 0, 3000, 100), (2**31, 2**31 - 2, 0, 2**31 - 2, 2)]
+
+    @staticmethod
+    def oversized(header):
+        return b"BHF1" + struct.pack("<5I", *header) + bytes(64)
+
+    @pytest.mark.parametrize("header", OVERSIZED)
+    def test_oversized_header_is_truncated(self, tmp_path, header):
+        data = self.oversized(header)
+        with pytest.raises(TruncatedPayloadError, match="^truncated payload at byte 24: .*got 64$"):
+            read_factor(io.BytesIO(data))
+        (tmp_path / "f.bhf").write_bytes(data)
+        with open(tmp_path / "f.bhf", "rb") as fh:
+            with pytest.raises(TruncatedPayloadError, match="got 64$"):
+                read_factor(fh)
+
+    def test_oversized_header_allocation_bounded(self, tmp_path):
+        (tmp_path / "f.bhf").write_bytes(self.oversized(self.OVERSIZED[0]))
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "f.bhf", "rb") as fh:
+                with pytest.raises(TruncatedPayloadError):
+                    read_factor(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    def test_payload_spanning_several_reads(self):
+        class Trickle(io.BytesIO):
+            def read(self, size=-1):
+                return super().read(min(size, 5))
+
+        f, _ = make_factor(9, 4, seed=5)
+        data = factor_bytes(f)
+        assert factor_bytes(read_factor(Trickle(data))) == data
+
 
 class TestReflectionValidation:
     # betas start at byte 24, free entries at byte 24 + 8k, row by reflection
@@ -205,6 +246,14 @@ class TestMatrixText:
     def test_bad_header(self):
         with pytest.raises(MatrixFormatError, match="header"):
             read_matrix(io.StringIO("2\n1\n1\n"))
+
+    @pytest.mark.parametrize("text,message", [
+        ("2 x\n1\n1\n", "malformed header at line 1: expected integers, got '2 x'"),
+        ("-1 2\n", "negative dimensions at line 1: -1 x 2"),
+    ])
+    def test_header_values(self, text, message):
+        with pytest.raises(MatrixFormatError, match=f"^{message}$"):
+            read_matrix(io.StringIO(text))
 
     # When a file has two defects, the one on the earlier line is reported.
     @pytest.mark.parametrize(
