@@ -76,6 +76,11 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _require_shape(command: str, m: int, n: int) -> None:
+    if m < n or n < 0:
+        raise ShapeError(f"{command} requires m >= n >= 0, got m={m} n={n}")
+
+
 def _relative_residual(recon: np.ndarray, a: np.ndarray) -> float:
     # Dividing by max|a| first keeps both norms clear of underflow and
     # overflow at any finite magnitude.
@@ -92,9 +97,6 @@ def _cmd_factor(args) -> int:
         a = storage.read_matrix(args.input)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    m, n = a.shape
-    if m < n:
-        return _fail(f"factor requires m >= n, got {m} x {n}")
     f = _MODES[args.mode](a)
     g = f.reflectors
     residual = _relative_residual(reconstruct_a(f), a)
@@ -109,11 +111,10 @@ def _cmd_factor(args) -> int:
     print(f"wrote: {args.output} ({nbytes} bytes)")
     if args.self_check:
         with open(args.output, "rb") as fh:
-            reread = storage.read_factor(fh)
+            original = fh.read()
+        reread = storage.read_factor(stdio.BytesIO(original))
         buf = stdio.BytesIO()
         storage.write_factor(reread, buf)
-        with open(args.output, "rb") as fh:
-            original = fh.read()
         if buf.getvalue() != original:
             print("self-check: FAILED (re-serialization differs)", file=sys.stderr)
             return 2
@@ -148,14 +149,16 @@ def _cmd_apply(args) -> int:
             f"{g.ambient_dim}"
         )
     x = vec[:, 0]
-    result = apply_transpose(g, x) if args.transpose else apply(g, x)
+    with np.errstate(all="ignore"):
+        result = apply_transpose(g, x) if args.transpose else apply(g, x)
+    if not np.isfinite(result).all():
+        return _fail("the product overflows to non-finite values")
     storage.write_matrix(result.reshape(-1, 1), sys.stdout)
     return 0
 
 
 def _cmd_report(args) -> int:
-    if args.m < args.n or args.n < 0:
-        return _fail(f"report requires m >= n >= 0, got m={args.m} n={args.n}")
+    _require_shape("report", args.m, args.n)
     for line in StorageReport(args.m, args.n).lines():
         print(line)
     return 0
@@ -191,8 +194,7 @@ def _print_timing(label: str, seconds: float, flops: int, per: str = "matvec") -
 
 
 def _cmd_bench(args) -> int:
-    if args.m < args.n:
-        return _fail(f"bench requires m >= n, got {args.m} x {args.n}")
+    _require_shape("bench", args.m, args.n)
     if args.repetitions < 1:
         return _fail("repetitions must be at least 1")
     if args.block_size < 1:

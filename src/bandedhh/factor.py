@@ -108,6 +108,10 @@ class CompactSubspaceFactor:
 
     placement TOP:    A = G (core; 0), reflectors.count = n
     placement BOTTOM: A = G (0; core), reflectors.count = m - n
+
+    Every array a factor holds is a private copy, core C-ordered here and
+    the reflectors' in BandedReflectors, so callers never copy for it and
+    no view keeps an input or a larger buffer alive.
     """
 
     reflectors: BandedReflectors
@@ -115,7 +119,7 @@ class CompactSubspaceFactor:
     placement: Placement
 
     def __post_init__(self):
-        self.core = np.ascontiguousarray(self.core, dtype=np.float64)
+        self.core = np.array(self.core, dtype=np.float64, order="C")
         n = self.core.shape[0]
         if self.core.shape != (n, n):
             raise ShapeError(f"core must be square, got {self.core.shape}")
@@ -168,7 +172,7 @@ def factor_tall(a) -> CompactSubspaceFactor:
         raise ShapeError(f"factor_tall requires m >= n, got {m} x {n}")
     if m == n:
         g = BandedReflectors(m, np.zeros((n, 0)), np.zeros(n))
-        return CompactSubspaceFactor(g, a.copy(), Placement.TOP)
+        return CompactSubspaceFactor(g, a, Placement.TOP)
     if n == 0:
         g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
         return CompactSubspaceFactor(g, np.zeros((0, 0)), Placement.TOP)
@@ -236,17 +240,14 @@ def factor_complement(a) -> CompactSubspaceFactor:
     only, built by applying the n reflectors in WY blocks of BLOCK_SIZE
     from the last block to the first. On top of the QR that costs at most
     4 m n (m - n) flops for the updates and 2 b m n for the b x b T
-    factors (b = BLOCK_SIZE), never the m x m Q. When m - n <= n, the
-    shape factor_auto sends here, the traced peak memory is about twice
-    the input; otherwise U2 adds m (m - n) floats on top of that.
-    The reflectors of factor_tall(U2) then give G, m - n reflections of
-    bandwidth n, through the same _band_basis and banded QR; its core is
-    not formed. _band_basis forms the Q of the bottom (m - n) x (m - n)
-    block of U2, which on the near-square shapes factor_auto sends here is
-    small. On input with m - n > n that Q is larger than the input (996 x
-    996 at 1000 x 4); factor_tall is the right call for such input.
-    B is the bottom n rows of G' a. The top m - n rows of G' a vanish
-    because the complement is orthogonal to range(a).
+    factors (b = BLOCK_SIZE), never the m x m Q.
+    G = factor_tall(U2).reflectors, m - n reflections of bandwidth n; that
+    call validates U2 and forms its (m - n) x (m - n) core, then drops it.
+    B is the bottom n rows of G' a; the top m - n rows vanish because the
+    complement is orthogonal to range(a). When m - n <= n, the shape
+    factor_auto sends here, the traced peak memory is about twice the
+    input. Otherwise U2, its factoring and that core outgrow the input
+    (a 996 x 996 core at 1000 x 4): call factor_tall instead.
 
     Square input short-circuits to an empty G and B = a, bit-exactly. For
     numerically rank-deficient input the complement basis is not unique,
@@ -258,14 +259,10 @@ def factor_complement(a) -> CompactSubspaceFactor:
         raise ShapeError(f"factor_complement requires m >= n, got {m} x {n}")
     if m == n:
         g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
-        return CompactSubspaceFactor(g, a.copy(), Placement.BOTTOM)
-    if n == 0:
-        g = BandedReflectors(m, np.zeros((m, 0)), np.zeros(m))
-    else:
-        g, _ = _banded_qr(_band_basis(_complement_basis(a))[0])
+        return CompactSubspaceFactor(g, a, Placement.BOTTOM)
+    g = factor_tall(_complement_basis(a)).reflectors
     gt_a = _kernels.apply_plan(g, a.copy(), transpose=True)
-    core = np.ascontiguousarray(gt_a[m - n :])
-    return CompactSubspaceFactor(g, core, Placement.BOTTOM)
+    return CompactSubspaceFactor(g, gt_a[m - n :], Placement.BOTTOM)
 
 
 def factor_auto(a) -> CompactSubspaceFactor:

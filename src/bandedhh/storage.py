@@ -139,7 +139,8 @@ def read_factor(source) -> CompactSubspaceFactor:
 
     Besides the layout, the payload must be finite and every reflection it
     describes orthogonal (see _check_reflections), so a factor that reads
-    back always describes an orthogonal G.
+    back always describes an orthogonal G. The payload is only viewed; the
+    factor copies what it keeps, so it holds about the record's size.
     """
     magic = _read_exact(source, len(MAGIC), 0, "magic")
     if magic != MAGIC:
@@ -163,15 +164,14 @@ def read_factor(source) -> CompactSubspaceFactor:
         )
     count = k + k * w + n * n
     payload = _read_exact(source, 8 * count, len(MAGIC) + _HEADER.size, "payload")
-    doubles = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    doubles = np.frombuffer(payload, dtype="<f8")
     if doubles.size and not np.isfinite(doubles).all():
         raise FactorFormatError("payload contains non-finite values")
     betas = doubles[:k]
     free = doubles[k : k + k * w].reshape(k, w)
     core = doubles[k + k * w :].reshape(n, n)
     _check_reflections(betas, free)
-    g = BandedReflectors(m, free, betas)
-    return CompactSubspaceFactor(g, core, placement)
+    return CompactSubspaceFactor(BandedReflectors(m, free, betas), core, placement)
 
 
 def _rows_per_chunk(n: int) -> int:

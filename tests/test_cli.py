@@ -107,6 +107,22 @@ class TestFactorCommand:
         assert "self-check" not in captured.out
         assert captured.err == "self-check: FAILED (re-serialization differs)\n"
 
+    def test_self_check_reads_the_file_once(self, tmp_path, capsys, monkeypatch):
+        write_random(tmp_path / "a.txt", 12, 5, 3)
+        reads = []
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if "r" in mode and str(path) == str(tmp_path / "a.bhf"):
+                reads.append(path)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        code = main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf"),
+                     "--self-check"])
+        assert code == 0
+        assert "self-check: ok" in capsys.readouterr().out
+        assert len(reads) == 1
+
     def test_output_in_missing_directory(self, tmp_path, capsys):
         write_random(tmp_path / "a.txt", 7, 4, 0)
         code = main(["factor", str(tmp_path / "a.txt"),
@@ -190,6 +206,17 @@ class TestApplyCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("transpose", [[], ["--transpose"]])
+    def test_overflowing_product(self, tmp_path, capsys, transpose):
+        self._factor(tmp_path, 8, 3, 8)
+        write_matrix(np.full((8, 1), 1.7e308), tmp_path / "x.txt")
+        capsys.readouterr()
+        code = main(["apply", str(tmp_path / "a.bhf"), str(tmp_path / "x.txt")] + transpose)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: the product overflows to non-finite values\n"
+
     def test_header_declaring_unreadable_payload(self, tmp_path, capsys):
         # k + k w + n^2 doubles is more bytes than an index-sized integer holds
         m, n = 2**31, 2**31 - 2
@@ -256,6 +283,15 @@ class TestBenchCommand:
 
     def test_usage_error(self, capsys):
         assert main(["bench", "4", "9"]) == 1
+
+    @pytest.mark.parametrize("m,n", [(4, -1), (4, 9), (-2, -3)])
+    def test_shape_rule_matches_report(self, capsys, m, n):
+        assert main(["bench", str(m), str(n)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bench requires m >= n >= 0, got m={m} n={n}\n"
+        assert main(["report", str(m), str(n)]) == 1
+        assert capsys.readouterr().err == captured.err.replace("bench", "report")
 
     @pytest.mark.parametrize("flag,message", [
         ("--reps", "repetitions must be at least 1"),

@@ -65,6 +65,23 @@ class TestCompactSubspaceFactor:
                            match="^BOTTOM placement needs 5 reflections, got 4$"):
             CompactSubspaceFactor(f.reflectors, f.core, Placement.BOTTOM)
 
+    # Every factor owns its core: no view into the input, into G'A or
+    # into a file payload keeps a larger buffer alive.
+    @pytest.mark.parametrize("factor", [factor_tall, factor_complement, factor_auto])
+    @pytest.mark.parametrize("shape", [(9, 4), (10, 9), (5, 5), (6, 0)])
+    def test_core_owns_its_data(self, factor, shape):
+        f = factor(random_matrix(*shape, seed=sum(shape)))
+        assert f.core.base is None
+        assert f.core.flags.c_contiguous
+
+    @pytest.mark.parametrize("factor", [factor_tall, factor_complement, factor_auto])
+    def test_square_core_is_not_the_input(self, factor):
+        a = random_matrix(4, 4, 7)
+        expected = a.copy()
+        f = factor(a)
+        a[:] = 0.0
+        assert np.array_equal(f.core, expected)
+
     def test_implied_vector_pattern(self):
         g = BandedReflectors(5, np.arange(6.0).reshape(2, 3) + 1.0, np.ones(2))
         v1 = implied_vector(g, 1)
@@ -209,8 +226,8 @@ class TestComplementBasis:
         assert u2.shape == (m, m - n)
         assert np.linalg.norm(u2 - expected) <= 1e-13 * np.sqrt(m)
 
-    # factor_complement forms only the R of the inner LQ; its reflectors and
-    # core must be those of the full factor_tall(U2), bit for bit.
+    # factor_complement takes G from factor_tall(U2); its reflectors, and
+    # the core as the bottom of G'A, must match that composition bit for bit.
     @pytest.mark.parametrize(
         "m,n",
         [(1000, 4), (1000, 900), (1200, 1000), (1000, 500), (30, 22), (30, 29), (7, 0)],

@@ -145,6 +145,26 @@ class TestFactorFormat:
             tracemalloc.stop()
         assert peak < 20e6
 
+    def test_read_factor_owns_its_arrays(self):
+        f, _ = make_factor(9, 4, seed=6)
+        g = read_factor(io.BytesIO(factor_bytes(f)))
+        assert g.core.base is None
+        assert g.reflectors.free_entries.base is None
+        assert g.reflectors.betas.base is None
+
+    def test_read_factor_holds_about_the_file_size(self):
+        data = factor_bytes(factor_auto(np.random.default_rng(7).standard_normal((1024, 256))))
+        source = io.BytesIO(data)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            f = read_factor(source)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert f.core.shape == (256, 256)
+        assert held <= 1.1 * len(data)
+
     def test_payload_spanning_several_reads(self):
         class Trickle(io.BytesIO):
             def read(self, size=-1):
