@@ -95,9 +95,9 @@ def _relative_residual(recon: np.ndarray, a: np.ndarray) -> float:
 def _cmd_factor(args) -> int:
     try:
         a = storage.read_matrix(args.input)
+        f = _MODES[args.mode](a)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    f = _MODES[args.mode](a)
     g = f.reflectors
     residual = _relative_residual(reconstruct_a(f), a)
     try:

@@ -132,6 +132,21 @@ class CompactSubspaceFactor:
             )
 
 
+def _checked(a, name: str) -> np.ndarray:
+    """The input of the factor function name: as_matrix(a), with m >= n."""
+    a = as_matrix(a)
+    if a.shape[0] < a.shape[1]:
+        raise ShapeError(f"{name} requires m >= n, got {a.shape[0]} x {a.shape[1]}")
+    return a
+
+
+def _fits(x: np.ndarray) -> np.ndarray:
+    """x, or a ValueError if computing it overflowed float64."""
+    if not np.isfinite(x).all():
+        raise ValueError("the factor of this matrix overflows float64")
+    return x
+
+
 def factor_tall(a) -> CompactSubspaceFactor:
     """Factor a = G (B; 0) with G a banded product of n reflections.
 
@@ -144,15 +159,19 @@ def factor_tall(a) -> CompactSubspaceFactor:
     180 degrees), so a X costs that small QR plus one GEMM over the top
     m - n rows. Both Householder steps are LAPACK dgeqrf through
     np.linalg.qr, and the banded QR reads its reflectors straight from
-    mode="raw". The input is validated on entry and left unchanged, and a
-    C-ordered float64 input is not copied beforehand. Intermediates are
-    not validated again. The free entries are read from LAPACK's output
-    through one skewed strided view.
+    mode="raw". The input is validated once, on entry, and left unchanged,
+    and a C-ordered float64 input is not copied beforehand. Intermediates,
+    the complement path's U2 included, are not validated again. The free
+    entries are read from LAPACK's output through one skewed strided view.
 
-    dlarfg scales its norms, so any finite input factors without overflow
-    or underflow. Sign convention: v = x + sign(x[0]) ||x|| e1 with sign()
-    read from the sign bit, so a -0.0 pivot counts as negative; a column
-    that is already zero below its pivot gets beta = 0 (the identity).
+    dlarfg scales its norms, so nothing underflows, but a finite input
+    near the largest double can still overflow: a column whose norm
+    exceeds it, or an intermediate such as ||x|| + |x[0]| in dlarfg. Then
+    a ValueError names the float64 overflow, and no non-finite factor is
+    returned. Only the betas and the core are checked. Sign convention:
+    v = x + sign(x[0]) ||x|| e1 with sign() read from the sign bit, so a
+    -0.0 pivot counts as negative; a column that is already zero below its
+    pivot gets beta = 0 (the identity).
 
     Accuracy: with both sides divided by max|a| first, so that neither norm
     underflows, ||reconstruct_a(f) - a||_F / ||a||_F is at most 1e-12 +
@@ -166,20 +185,21 @@ def factor_tall(a) -> CompactSubspaceFactor:
 
     Square input short-circuits to G = I and B = a, bit-exactly.
     """
-    a = as_matrix(a)
+    return _tall(_checked(a, "factor_tall"))
+
+
+def _tall(a: np.ndarray) -> CompactSubspaceFactor:
     m, n = a.shape
-    if m < n:
-        raise ShapeError(f"factor_tall requires m >= n, got {m} x {n}")
     if m == n:
         g = BandedReflectors(m, np.zeros((n, 0)), np.zeros(n))
         return CompactSubspaceFactor(g, a, Placement.TOP)
-    if n == 0:
-        g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
-        return CompactSubspaceFactor(g, np.zeros((0, 0)), Placement.TOP)
-    band, x = _band_basis(a)
-    g, h = _banded_qr(band)
-    core = np.triu(h[:, :n].T) @ x.T
-    return CompactSubspaceFactor(g, core, Placement.TOP)
+    # An overflow is reported by _fits, from the betas and the core; numpy's
+    # warnings on the way there would only precede it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        band, x = _band_basis(a)
+        g, h = _banded_qr(band)
+        core = np.triu(h[:, :n].T) @ x.T
+    return CompactSubspaceFactor(g, _fits(core), Placement.TOP)
 
 
 def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,6 +235,9 @@ def _banded_qr(band: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
     m, n = band.shape
     w = m - n
     h, betas = np.linalg.qr(band, mode="raw")
+    # Before the leak check: NaN from an overflow spreads below the band too,
+    # and is no band defect.
+    _fits(betas)
     if np.triu(h[:, w + 1 :]).any():
         raise RuntimeError("reflection vector leaked outside the band")
     # Free entries of reflection i are h[i, i + 1 : i + 1 + w]: stepping one
@@ -228,6 +251,7 @@ def _complement_basis(a: np.ndarray) -> np.ndarray:
     """U2 = H_1 ... H_n (0; I_{m-n}): the last m - n columns of the Q of a."""
     m, n = a.shape
     h, tau = np.linalg.qr(a, mode="raw")
+    _fits(tau)
     u2 = np.eye(m, m - n, -n)
     return _kernels.apply_blocks(_kernels.raw_blocks(h, tau), u2, transpose=False)
 
@@ -241,28 +265,34 @@ def factor_complement(a) -> CompactSubspaceFactor:
     from the last block to the first. On top of the QR that costs at most
     4 m n (m - n) flops for the updates and 2 b m n for the b x b T
     factors (b = BLOCK_SIZE), never the m x m Q.
-    G = factor_tall(U2).reflectors, m - n reflections of bandwidth n; that
-    call validates U2 and forms its (m - n) x (m - n) core, then drops it.
-    B is the bottom n rows of G' a; the top m - n rows vanish because the
-    complement is orthogonal to range(a). When m - n <= n, the shape
-    factor_auto sends here, the traced peak memory is about twice the
-    input. Otherwise U2, its factoring and that core outgrow the input
-    (a 996 x 996 core at 1000 x 4): call factor_tall instead.
+    G is the reflectors of the factor_tall pipeline run on U2, m - n
+    reflections of bandwidth n. U2 is not validated again, like every
+    intermediate; its small (m - n) x (m - n) core is still formed and
+    then dropped. B is the bottom n rows of G' a; the top m - n rows
+    vanish because the complement is orthogonal to range(a). When
+    m - n <= n, the shape factor_auto sends here, the traced peak memory
+    is about twice the input. Otherwise U2, its factoring and that core
+    outgrow the input (a 996 x 996 core at 1000 x 4): call factor_tall
+    instead.
 
     Square input short-circuits to an empty G and B = a, bit-exactly. For
     numerically rank-deficient input the complement basis is not unique,
     so neither is the output, but the reconstruction contract still holds.
+    The input is validated once, on entry, and an overflow raises the
+    ValueError that factor_tall describes.
     """
-    a = as_matrix(a)
+    return _complement(_checked(a, "factor_complement"))
+
+
+def _complement(a: np.ndarray) -> CompactSubspaceFactor:
     m, n = a.shape
-    if m < n:
-        raise ShapeError(f"factor_complement requires m >= n, got {m} x {n}")
     if m == n:
         g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
         return CompactSubspaceFactor(g, a, Placement.BOTTOM)
-    g = factor_tall(_complement_basis(a)).reflectors
-    gt_a = _kernels.apply_plan(g, a.copy(), transpose=True)
-    return CompactSubspaceFactor(g, gt_a[m - n :], Placement.BOTTOM)
+    g = _tall(_complement_basis(a)).reflectors
+    with np.errstate(over="ignore", invalid="ignore"):
+        gt_a = _kernels.apply_plan(g, a.copy(), transpose=True)
+    return CompactSubspaceFactor(g, _fits(gt_a[m - n :]), Placement.BOTTOM)
 
 
 def factor_auto(a) -> CompactSubspaceFactor:
@@ -271,13 +301,9 @@ def factor_auto(a) -> CompactSubspaceFactor:
     Either way G ends up with at most m/2 vectors of at least m/2 + 1
     nonzero components, so blocked application stays efficient.
     """
-    a = as_matrix(a)
+    a = _checked(a, "factor_auto")
     m, n = a.shape
-    if m < n:
-        raise ShapeError(f"factor_auto requires m >= n, got {m} x {n}")
-    if m - n >= n:
-        return factor_tall(a)
-    return factor_complement(a)
+    return _tall(a) if m - n >= n else _complement(a)
 
 
 def reconstruct_a(f: CompactSubspaceFactor) -> np.ndarray:

@@ -132,6 +132,30 @@ class TestFactorCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    # Finite input whose factor overflows float64: a column of 1.7e308, a
+    # column scaled to 0.9 DBL_MAX whose dlarfg step overflows, and an 8x6
+    # that factor_auto places BOTTOM. No file is written.
+    @pytest.mark.parametrize("self_check", [[], ["--self-check"]])
+    @pytest.mark.parametrize("mode", ["tall", "complement", "auto"])
+    @pytest.mark.parametrize("case", ["8x1 of 1.7e308", "8x1 at 0.9 DBL_MAX", "8x6"])
+    def test_overflowing_factor_is_an_error(self, tmp_path, capsys, case, mode, self_check):
+        if case == "8x1 of 1.7e308":
+            a = np.full((8, 1), 1.7e308)
+        elif case == "8x1 at 0.9 DBL_MAX":
+            a = np.random.default_rng(1).standard_normal((8, 1))
+            a = a / np.linalg.norm(a) * (0.9 * np.finfo(np.float64).max)
+        else:
+            a = np.random.default_rng(14).standard_normal((8, 6))
+            a[:, 0] = 1.7e308
+        write_matrix(a, tmp_path / "a.txt")
+        code = main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf"),
+                     "--mode", mode] + self_check)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: the factor of this matrix overflows float64\n"
+        assert not (tmp_path / "a.bhf").exists()
+
 
 class TestApplyCommand:
     def _factor(self, tmp_path, m, n, seed):

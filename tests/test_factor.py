@@ -279,6 +279,55 @@ class TestFactorAuto:
         assert g.count == 0 or g.bandwidth >= m // 2
 
 
+class TestEntryCheck:
+    # Each public factor function validates its input once, then runs a
+    # private pipeline that trusts it; no path goes back through the public
+    # factor_tall, so the complement basis U2 is not validated again.
+    @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
+    @pytest.mark.parametrize("shape", [(9, 4), (10, 9), (5, 5), (6, 0)])
+    def test_as_matrix_runs_once(self, monkeypatch, method, shape):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return as_matrix(a)
+
+        monkeypatch.setattr("bandedhh.factor.as_matrix", counting)
+        method(random_matrix(*shape, seed=sum(shape)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(9, 4), (10, 9), (30, 22)])
+    def test_public_factor_tall_not_reentered(self, monkeypatch, shape):
+        a = random_matrix(*shape, seed=sum(shape))
+        expected = [factor_complement(a), factor_auto(a)]
+
+        def refuse(a):
+            raise AssertionError("factor_tall called from another factor function")
+
+        monkeypatch.setattr("bandedhh.factor.factor_tall", refuse)
+        for method, want in zip([factor_complement, factor_auto], expected):
+            f = method(a)
+            assert f.placement is want.placement
+            _assert_same_factor(f, want.reflectors, want.core)
+
+    # With no columns, TOP holds no reflections and BOTTOM m identity
+    # reflections of bandwidth 0; factor_auto picks TOP.
+    @pytest.mark.parametrize("m", [0, 1, 6])
+    def test_zero_columns(self, m):
+        a = np.zeros((m, 0))
+        for method, placement, count in [
+            (factor_tall, Placement.TOP, 0),
+            (factor_complement, Placement.BOTTOM, m),
+            (factor_auto, Placement.TOP, 0),
+        ]:
+            f = method(a)
+            assert f.placement is placement, method.__name__
+            assert f.reflectors.free_entries.shape == (count, m - count), method.__name__
+            assert f.reflectors.betas.shape == (count,), method.__name__
+            assert not f.reflectors.betas.any(), method.__name__
+            assert f.core.shape == (0, 0), method.__name__
+
+
 class TestReconstructG:
     def test_all_skipped_is_identity(self):
         g = BandedReflectors(4, np.zeros((2, 2)), np.zeros(2))
@@ -384,6 +433,78 @@ class TestSubnormalFloor:
         z = random_matrix(m, 1, seed=1)[:, 0]
         g = f.reflectors
         assert np.linalg.norm(apply_transpose(g, apply(g, z)) - z) <= 1e-12 * np.linalg.norm(z)
+
+
+DBL_MAX = np.finfo(np.float64).max
+
+
+def _frobenius_scaled(m, n, fraction, seed):
+    # Gaussian input with ||a||_F = fraction * DBL_MAX
+    a = random_matrix(m, n, seed)
+    return a / np.linalg.norm(a) * (fraction * DBL_MAX)
+
+
+def _first_column_huge():
+    a = random_matrix(8, 6, 14)
+    a[:, 0] = 1.7e308
+    return a
+
+
+def _two_huge_entries():
+    a = np.ones((4, 3))
+    a[1, 2] = a[2, 1] = 1.7e308
+    return a
+
+
+def _huge_entries_5x2():
+    a = np.ones((5, 2))
+    a[[0, 1, 3], 0] = -1.7e308
+    a[[2, 3], 1] = 1.7e308
+    return a
+
+
+class TestOverflow:
+    # A finite input whose factor does not fit in float64 raises one
+    # ValueError, and no RuntimeWarning escapes (tier-1 turns warnings into
+    # errors). Each case overflows somewhere else:
+    # - 8x1 of 1.7e308: the column norm, so the core holds -inf;
+    # - 8x1 at 0.9 DBL_MAX (seed 1): |a[0]| + ||a|| inside dlarfg;
+    # - 3x1 (1.7e308, 1, 1): the beta alone, while the core still fits;
+    # - 4x3 with two entries of 1.7e308: NaN reaches the banded QR, whose
+    #   leak check would misreport it as a band defect;
+    # - 5x2 with five entries of 1.7e308: a matrix product of the tall
+    #   pipeline, with every beta finite;
+    # - 8x6 with a column of 1.7e308: factor_auto places it BOTTOM, where
+    #   the raw QR's beta is NaN.
+    CASES = {
+        "8x1 of 1.7e308": lambda: np.full((8, 1), 1.7e308),
+        "8x1 at 0.9 DBL_MAX": lambda: _frobenius_scaled(8, 1, 0.9, 1),
+        "3x1 beta": lambda: np.array([[1.7e308], [1.0], [1.0]]),
+        "4x3 band leak": _two_huge_entries,
+        "5x2 product": _huge_entries_5x2,
+        "8x6, column of 1.7e308": _first_column_huge,
+    }
+
+    @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_raises_overflow_error(self, case, method):
+        with pytest.raises(ValueError, match="^the factor of this matrix overflows float64$"):
+            method(self.CASES[case]())
+
+    def test_complement_g_t_a_overflow(self):
+        # Only the G'A product overflows here; the TOP factor fits.
+        a = _frobenius_scaled(8, 1, 0.9, 7)
+        with pytest.raises(ValueError, match="^the factor of this matrix overflows float64$"):
+            factor_complement(a)
+        assert np.isfinite(factor_auto(a).core).all()
+
+    @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
+    @pytest.mark.parametrize("m,n,fraction", [(200, 50, 0.99), (30, 22, 0.7), (8, 1, 0.5)])
+    def test_near_limit_still_factors(self, m, n, fraction, method):
+        a = _frobenius_scaled(m, n, fraction, m + n)
+        f = method(a)
+        assert rel_err(reconstruct_a(f), a) <= 1e-12
+        assert _probe(f.reflectors) <= 1e-12
 
 
 def _flip_copy(x):
