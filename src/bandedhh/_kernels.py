@@ -16,7 +16,8 @@ more copy of the free entries, k (w + b) floats, plus one b x b triangular T
 
 The same block loop also applies the unbanded reflectors of a LAPACK QR
 (raw_blocks), whose vectors run to the last row; factor_complement forms
-its complement basis that way.
+its complement basis that way. It takes the V of its own reflectors from
+band_vt, the layout the plan's blocks use, and needs no T and no plan.
 """
 
 from dataclasses import dataclass
@@ -62,20 +63,29 @@ def _block_t(vt: np.ndarray, betas: np.ndarray) -> np.ndarray:
     return np.linalg.inv(unit) * betas[..., None, :]
 
 
+def band_vt(tails: np.ndarray) -> np.ndarray:
+    """V' of consecutive banded reflections, from their free entries.
+
+    tails is size x w, or a stack of such; row j of the size x (size + w)
+    result is reflection j: j zeros, the unit pivot, tails[j], then zeros.
+    """
+    *stack, size, w = tails.shape
+    # Rows of length size + w + 1 holding [1, tail_j, 0 ...], read back end
+    # to end in rows of length size + w, shift row j right by exactly j columns.
+    skewed = np.empty((*stack, size, size + w + 1))
+    skewed[..., 0] = 1.0
+    skewed[..., 1 : 1 + w] = tails
+    skewed[..., 1 + w :] = 0.0
+    flat = skewed.reshape(*stack, -1)[..., : size * (size + w)]
+    return flat.reshape(*stack, size, size + w)
+
+
 def build_blocks(g, start: int, size: int, count: int) -> list[BlockedWY]:
     """count consecutive blocks of size reflections each, from reflection start."""
     if count == 0:
         return []
-    w = g.bandwidth
     stop = start + count * size
-    # V' row by row: reflection j is [1, tail_j] starting at column j. Rows
-    # of length size + w + 1 holding [1, tail_j, 0 ...], read back end to end
-    # in rows of length size + w, shift row j right by exactly j columns.
-    skewed = np.empty((count, size, size + w + 1))
-    skewed[:, :, 0] = 1.0
-    skewed[:, :, 1 : 1 + w] = g.free_entries[start:stop].reshape(count, size, w)
-    skewed[:, :, 1 + w :] = 0.0
-    vt = skewed.reshape(count, -1)[:, : size * (size + w)].reshape(count, size, size + w)
+    vt = band_vt(g.free_entries[start:stop].reshape(count, size, g.bandwidth))
     t = _block_t(vt, g.betas[start:stop].reshape(count, size))
     v = vt.transpose(0, 2, 1)
     v.flags.writeable = False
@@ -109,7 +119,10 @@ def raw_blocks(h: np.ndarray, tau: np.ndarray):
     n = h.shape[0]
     for s in range(((n - 1) // BLOCK_SIZE) * BLOCK_SIZE, -1, -BLOCK_SIZE):
         e = min(s + BLOCK_SIZE, n)
-        vt = np.triu(h[s:e, s:], 1)
+        # Columns e and beyond lie above the diagonal already, so only the
+        # b x b head needs its lower triangle cleared.
+        vt = h[s:e, s:].copy()
+        vt[:, : e - s] = np.triu(vt[:, : e - s], 1)
         np.fill_diagonal(vt, 1.0)
         yield BlockedWY(vt.T, _block_t(vt, tau[s:e]), s)
 

@@ -265,15 +265,20 @@ def factor_complement(a) -> CompactSubspaceFactor:
     from the last block to the first. On top of the QR that costs at most
     4 m n (m - n) flops for the updates and 2 b m n for the b x b T
     factors (b = BLOCK_SIZE), never the m x m Q.
-    G is the reflectors of the factor_tall pipeline run on U2, m - n
-    reflections of bandwidth n. U2 is not validated again, like every
-    intermediate; its small (m - n) x (m - n) core is still formed and
-    then dropped. B is the bottom n rows of G' a; the top m - n rows
-    vanish because the complement is orthogonal to range(a). When
+    G is the reflectors of the factor_tall pipeline's band basis and
+    banded QR run on U2, m - n reflections of bandwidth n; U2 is not
+    validated again, like every intermediate, and its core is never
+    formed. B is the bottom n rows of G' a = a - V W, with k = m - n and
+    V = [V1; V2] the m x k unit lower band of G's vectors. The top k rows
+    vanish because the complement is orthogonal to range(a), so
+    W = V1^-1 a[:k] and B = a[k:] - V2 W: 2 k^2 n + 2 k n^2 + 2/3 k^3
+    flops and no m x n workspace, where the whole product G' a takes
+    about 4 k m n. This is the identity behind Householder
+    reconstruction (Ballard et al., IPDPS 2014). When
     m - n <= n, the shape factor_auto sends here, the traced peak memory
-    is about twice the input. Otherwise U2, its factoring and that core
-    outgrow the input (a 996 x 996 core at 1000 x 4): call factor_tall
-    instead.
+    is at most about twice the input: the core and the factor's copy of
+    it. Otherwise U2 and its factoring outgrow the input (996 columns at
+    1000 x 4): call factor_tall instead.
 
     Square input short-circuits to an empty G and B = a, bit-exactly. For
     numerically rank-deficient input the complement basis is not unique,
@@ -289,10 +294,16 @@ def _complement(a: np.ndarray) -> CompactSubspaceFactor:
     if m == n:
         g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
         return CompactSubspaceFactor(g, a, Placement.BOTTOM)
-    g = _tall(_complement_basis(a)).reflectors
+    k = m - n
+    g = _banded_qr(_band_basis(_complement_basis(a))[0])[0]
+    # B = a[k:] - V2 V1^-1 a[:k], from the vanishing top rows of G' a. V' is
+    # freed before the factor copies B.
+    vt = _kernels.band_vt(g.free_entries)
     with np.errstate(over="ignore", invalid="ignore"):
-        gt_a = _kernels.apply_plan(g, a.copy(), transpose=True)
-    return CompactSubspaceFactor(g, _fits(gt_a[m - n :]), Placement.BOTTOM)
+        core = vt[:, k:].T @ np.linalg.solve(vt[:, :k].T, a[:k])
+        np.subtract(a[k:], core, out=core)
+    del vt
+    return CompactSubspaceFactor(g, _fits(core), Placement.BOTTOM)
 
 
 def factor_auto(a) -> CompactSubspaceFactor:
@@ -307,16 +318,25 @@ def factor_auto(a) -> CompactSubspaceFactor:
 
 
 def reconstruct_a(f: CompactSubspaceFactor) -> np.ndarray:
-    """Rebuild the dense m x n matrix G (core; 0) or G (0; core)."""
+    """Rebuild the dense m x n matrix G (core; 0) or G (0; core).
+
+    The engine forms V'x before it scales by T, which overflows once core
+    entries reach about half the largest double. A core whose largest
+    entry exceeds 2^1000 is therefore applied divided by a power of two,
+    which is exact bar subnormals far below the result's rounding, and the
+    result is scaled back; any other core gives the same bits as without.
+    """
     g = f.reflectors
     m = g.ambient_dim
-    n = f.core.shape[0]
+    core = f.core
+    n = core.shape[0]
+    peak = max(core.max(initial=0.0), -core.min(initial=0.0))
+    e = int(np.frexp(peak)[1]) if peak > 2.0**1000 else 0
     padded = np.zeros((m, n))
-    if f.placement is Placement.TOP:
-        padded[:n] = f.core
-    else:
-        padded[m - n :] = f.core
-    return _kernels.apply_plan(g, padded, transpose=False)
+    rows = slice(0, n) if f.placement is Placement.TOP else slice(m - n, m)
+    padded[rows] = np.ldexp(core, -e) if e else core
+    out = _kernels.apply_plan(g, padded, transpose=False)
+    return np.ldexp(out, e, out=out) if e else out
 
 
 def storage_floats(g: BandedReflectors) -> int:

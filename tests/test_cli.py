@@ -132,6 +132,19 @@ class TestFactorCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    # A valid factor whose core reaches 0.54 DBL_MAX: the reconstruction
+    # behind the residual must not overflow to nan.
+    def test_self_check_core_near_limit(self, tmp_path, capsys):
+        a = np.random.default_rng(145).standard_normal((4, 2))
+        a = a / np.linalg.norm(a) * (0.6 * np.finfo(np.float64).max)
+        write_matrix(a, tmp_path / "a.txt")
+        code = main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf"),
+                     "--self-check"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "self-check: ok" in out
+        assert float(out.split("residual: ")[1].split()[0]) <= 1e-12
+
     # Finite input whose factor overflows float64: a column of 1.7e308, a
     # column scaled to 0.9 DBL_MAX whose dlarfg step overflows, and an 8x6
     # that factor_auto places BOTTOM. No file is written.

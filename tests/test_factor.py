@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,8 +227,9 @@ class TestComplementBasis:
         assert u2.shape == (m, m - n)
         assert np.linalg.norm(u2 - expected) <= 1e-13 * np.sqrt(m)
 
-    # factor_complement takes G from factor_tall(U2); its reflectors, and
-    # the core as the bottom of G'A, must match that composition bit for bit.
+    # factor_complement takes G from factor_tall(U2); its reflectors must
+    # match that composition bit for bit, and its core the bottom of G'A
+    # solved from the top rows that vanish (_reference_core).
     @pytest.mark.parametrize(
         "m,n",
         [(1000, 4), (1000, 900), (1200, 1000), (1000, 500), (30, 22), (30, 29), (7, 0)],
@@ -238,8 +240,7 @@ class TestComplementBasis:
         g = factor_tall(_complement_basis(a)).reflectors
         assert f.reflectors.betas.tobytes() == g.betas.tobytes()
         assert f.reflectors.free_entries.tobytes() == g.free_entries.tobytes()
-        core = apply_to_matrix(g, a, transpose=True)[m - n :]
-        assert f.core.tobytes() == core.tobytes()
+        assert f.core.tobytes() == _reference_core(g, a).tobytes()
 
     def test_peak_memory_within_three_inputs(self):
         a = random_matrix(600, 590, 21)
@@ -252,6 +253,32 @@ class TestComplementBasis:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * a.nbytes
+
+    # The core is solved from a[:m - n] with no m x n workspace, so the
+    # peak is about the core plus the factor's copy of it.
+    def test_peak_memory_near_square(self):
+        a = random_matrix(1000, 900, 22)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            factor_complement(a)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * a.nbytes
+
+    # Only the reflectors of U2 are kept, so its (m - n) x (m - n) core is
+    # never formed: the complement path does not run the tall pipeline body.
+    @pytest.mark.parametrize("shape", [(1000, 4), (30, 22)])
+    def test_u2_core_not_formed(self, monkeypatch, shape):
+        a = random_matrix(*shape, seed=sum(shape))
+
+        def refuse(u2):
+            raise AssertionError("the core of U2 was formed")
+
+        monkeypatch.setattr("bandedhh.factor._tall", refuse)
+        assert rel_err(reconstruct_a(factor_complement(a)), a) <= 1e-12
 
 
 class TestFactorAuto:
@@ -491,12 +518,37 @@ class TestOverflow:
         with pytest.raises(ValueError, match="^the factor of this matrix overflows float64$"):
             method(self.CASES[case]())
 
-    def test_complement_g_t_a_overflow(self):
-        # Only the G'A product overflows here; the TOP factor fits.
+    def test_complement_core_skips_g_t_a_overflow(self):
+        # The whole G'A product overflows here, in the engine's V'x; the
+        # core solved from its vanishing top rows fits, as does the TOP
+        # factor.
         a = _frobenius_scaled(8, 1, 0.9, 7)
-        with pytest.raises(ValueError, match="^the factor of this matrix overflows float64$"):
-            factor_complement(a)
-        assert np.isfinite(factor_auto(a).core).all()
+        for method in (factor_complement, factor_auto):
+            assert rel_err(reconstruct_a(method(a)), a) <= 1e-12, method.__name__
+
+    # A core near the largest double, where the engine's V'x would
+    # overflow unless reconstruct_a scales the core by a power of two.
+    @pytest.mark.parametrize("method", [factor_tall, factor_auto])
+    def test_reconstruct_core_near_limit(self, method):
+        a = _frobenius_scaled(4, 2, 0.6, 145)
+        f = method(a)
+        assert np.abs(f.core).max() > 0.5 * DBL_MAX
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recon = reconstruct_a(f)
+        assert np.isfinite(recon).all()
+        assert rel_err(recon, a) <= 1e-12
+
+    # Below 2^1000 the core is applied as it is, bit for bit.
+    @pytest.mark.parametrize("scale", [1.0, 2.0**999])
+    def test_reconstruct_unscaled_below_threshold(self, scale):
+        a = random_matrix(30, 7, 3) / 8 * scale
+        f = factor_tall(a)
+        assert np.abs(f.core).max() <= 2.0**1000
+        padded = np.zeros((30, 7))
+        padded[:7] = f.core
+        expected = apply_to_matrix(f.reflectors, padded)
+        assert np.array_equal(_bits(reconstruct_a(f)), _bits(expected))
 
     @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
     @pytest.mark.parametrize("m,n,fraction", [(200, 50, 0.99), (30, 22, 0.7), (8, 1, 0.5)])
@@ -539,10 +591,24 @@ def _reference_tall(a):
     return g, np.triu(h[:, :n].T) @ x.T
 
 
+def _reference_core(g, a):
+    # The BOTTOM core a[k:] - V2 V1^-1 a[:k] on explicit copies, V = [V1; V2]
+    # the m x k unit lower band gathered by fancy indexing. V stays the
+    # transpose of a C-ordered V', as in factor_complement: OpenBLAS's
+    # small-matrix dgemm kernels round a C-ordered V2 differently (seen at
+    # 1000x4 and 60x25).
+    m, k = g.ambient_dim, g.count
+    rows = np.arange(k)[:, None]
+    vt = np.zeros((k, m))
+    vt[rows, rows] = 1.0
+    vt[rows, rows + 1 + np.arange(g.bandwidth)] = g.free_entries
+    v = vt.T
+    return a[k:].copy() - v[k:] @ np.linalg.solve(v[:k].copy(), a[:k].copy())
+
+
 def _reference_complement(a):
-    m, n = a.shape
     g, _ = _reference_banded_qr(_reference_band_basis(_complement_basis(a))[0])
-    return g, apply_to_matrix(g, a, transpose=True)[m - n :]
+    return g, _reference_core(g, a)
 
 
 def _lq_reference_tall(a):
