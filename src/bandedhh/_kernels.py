@@ -18,6 +18,12 @@ The same block loop also applies the unbanded reflectors of a LAPACK QR
 (raw_blocks), whose vectors run to the last row; factor_complement forms
 its complement basis that way. It takes the V of its own reflectors from
 band_vt, the layout the plan's blocks use, and needs no T and no plan.
+
+Each block forms V'x before it scales by T, which overflows near half the
+largest double although G is orthogonal, so apply_plan scales an operand
+whose peak exceeds 2^1000 by the power of two that brings it just under,
+and back: exact bar entries below 2^-998, which fall subnormal. NaN and
+Inf never trigger it.
 """
 
 from dataclasses import dataclass
@@ -145,4 +151,9 @@ def apply_blocks(blocks, x: np.ndarray, transpose: bool) -> np.ndarray:
 def apply_plan(g, x: np.ndarray, transpose: bool, block_size: int = BLOCK_SIZE) -> np.ndarray:
     """Overwrite x (a vector or a matrix of columns) with G x, or G' x."""
     blocks = plan(g, block_size)
-    return apply_blocks(blocks if transpose else reversed(blocks), x, transpose)
+    peak = max(x.max(initial=0.0), -x.min(initial=0.0))
+    e = int(np.frexp(peak)[1]) - 1000 if 2.0**1000 < peak < np.inf else 0
+    if e:
+        np.ldexp(x, -e, out=x)
+    apply_blocks(blocks if transpose else reversed(blocks), x, transpose)
+    return np.ldexp(x, e, out=x) if e else x

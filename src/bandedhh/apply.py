@@ -13,8 +13,8 @@ tallies that per-reflection convention, not the BLAS operations the WY
 engine actually executes.
 
 Non-finite input is not rejected: NaN and Inf propagate through every
-product by IEEE rules, and nothing raises. A check would cost one more
-full pass over the input on every call, and the CLI already rejects
+product by IEEE rules, and nothing raises. The engine's one pass for the
+operand's peak (see _kernels) never scales on them, and the CLI rejects
 non-finite values when it reads a matrix (storage.read_matrix).
 """
 
@@ -110,8 +110,8 @@ def apply_to_matrix(g: BandedReflectors, a, transpose: bool = False) -> np.ndarr
 
 
 def _check_block_size(block_size: int) -> None:
-    if block_size < 1:
-        raise ShapeError("block size must be at least 1")
+    if not isinstance(block_size, (int, np.integer)) or block_size < 1:
+        raise ShapeError("block size must be an integer of at least 1")
 
 
 def wy_chain(g: BandedReflectors, block_size: int) -> tuple[BlockedWY, ...]:

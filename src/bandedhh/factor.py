@@ -318,25 +318,14 @@ def factor_auto(a) -> CompactSubspaceFactor:
 
 
 def reconstruct_a(f: CompactSubspaceFactor) -> np.ndarray:
-    """Rebuild the dense m x n matrix G (core; 0) or G (0; core).
-
-    The engine forms V'x before it scales by T, which overflows once core
-    entries reach about half the largest double. A core whose largest
-    entry exceeds 2^1000 is therefore applied divided by a power of two,
-    which is exact bar subnormals far below the result's rounding, and the
-    result is scaled back; any other core gives the same bits as without.
-    """
+    """Rebuild the dense m x n matrix G (core; 0) or G (0; core)."""
     g = f.reflectors
     m = g.ambient_dim
-    core = f.core
-    n = core.shape[0]
-    peak = max(core.max(initial=0.0), -core.min(initial=0.0))
-    e = int(np.frexp(peak)[1]) if peak > 2.0**1000 else 0
+    n = f.core.shape[0]
     padded = np.zeros((m, n))
     rows = slice(0, n) if f.placement is Placement.TOP else slice(m - n, m)
-    padded[rows] = np.ldexp(core, -e) if e else core
-    out = _kernels.apply_plan(g, padded, transpose=False)
-    return np.ldexp(out, e, out=out) if e else out
+    padded[rows] = f.core
+    return _kernels.apply_plan(g, padded, transpose=False)
 
 
 def storage_floats(g: BandedReflectors) -> int:

@@ -153,6 +153,23 @@ class TestApplyCounted:
         assert np.array_equal(apply_counted(g, x, FlopCounter()), apply(g, x))
 
 
+# G is orthogonal, so a product overflows only when its exact answer does;
+# unscaled, this operand overflows in the engine's V'x. H = I - v v' with
+# v = (1, 1) gives H x = -(x[1], x[0]).
+@pytest.mark.parametrize("product", [
+    apply,
+    apply_transpose,
+    lambda g, x: apply_blocked(g, x, 1),
+    lambda g, x: apply_counted(g, x, FlopCounter()),
+    lambda g, x: apply_to_matrix(g, x[:, None])[:, 0],
+    lambda g, x: apply_to_matrix(g, x[:, None], transpose=True)[:, 0],
+], ids=["apply", "apply_transpose", "apply_blocked", "apply_counted",
+        "apply_to_matrix", "apply_to_matrix_transpose"])
+def test_product_near_limit(product):
+    out = product(BandedReflectors(2, [[1.0]], [1.0]), np.array([1e308, 1e308]))
+    assert np.array_equal(out, [-1e308, -1e308])
+
+
 class TestApplyToMatrix:
     def test_identity_gives_dense_product(self):
         g = tall_g(8, 3, 13)
@@ -211,10 +228,14 @@ class TestBlockedWY:
             product = product @ (np.eye(12) - g.betas[i] * np.outer(v, v))
         assert np.linalg.norm(wy - product) <= 1e-13
 
-    def test_block_size_at_least_one(self):
+    # One error whether or not the plan for 2 is cached, which 2.0 would hit.
+    @pytest.mark.parametrize("block_size", [0, 2.0])
+    def test_block_size_at_least_one(self, block_size):
         g = tall_g(9, 4, 25)
-        with pytest.raises(ShapeError):
-            wy_chain(g, 0)
+        for _ in range(2):
+            with pytest.raises(ShapeError):
+                wy_chain(g, block_size)
+            wy_chain(g, 2)
 
 
 class TestApplyBlocked:
@@ -244,10 +265,13 @@ class TestApplyBlocked:
         assert [blk.start_index for blk in chain] == [0, 3, 6, 9]
         assert [blk.block_size for blk in chain] == [3, 3, 3, 1]
 
-    def test_invalid_block_size(self):
+    @pytest.mark.parametrize("block_size", [0, 2.0])
+    def test_invalid_block_size(self, block_size):
         g = tall_g(9, 4, 34)
-        with pytest.raises(ShapeError):
-            apply_blocked(g, np.zeros(9), 0)
+        for _ in range(2):
+            with pytest.raises(ShapeError):
+                apply_blocked(g, np.zeros(9), block_size)
+            wy_chain(g, 2)
 
 
 def skipped_mix_g():

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from bandedhh import (
+    BandedReflectors,
     CompactSubspaceFactor,
+    Placement,
+    apply,
+    apply_transpose,
     cli,
     read_factor,
     read_matrix,
@@ -253,6 +257,20 @@ class TestApplyCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: the product overflows to non-finite values\n"
+
+    # The exact product of the 2x2 hand reflection fits, so apply prints it.
+    @pytest.mark.parametrize("transpose", [[], ["--transpose"]])
+    def test_product_near_limit(self, tmp_path, capsys, transpose):
+        g = BandedReflectors(2, [[1.0]], [1.0])
+        with open(tmp_path / "h.bhf", "wb") as fh:
+            storage.write_factor(CompactSubspaceFactor(g, [[1.0]], Placement.TOP), fh)
+        x = np.array([1e308, 1e308])
+        write_matrix(x.reshape(-1, 1), tmp_path / "x.txt")
+        code = main(["apply", str(tmp_path / "h.bhf"), str(tmp_path / "x.txt")] + transpose)
+        assert code == 0
+        (tmp_path / "y.txt").write_text(capsys.readouterr().out)
+        expected = apply_transpose(g, x) if transpose else apply(g, x)
+        assert np.array_equal(read_matrix(tmp_path / "y.txt")[:, 0], expected)
 
     def test_header_declaring_unreadable_payload(self, tmp_path, capsys):
         # k + k w + n^2 doubles is more bytes than an index-sized integer holds

@@ -22,6 +22,7 @@ from bandedhh import (
     reconstruct_a,
     storage_floats,
     storage_floats_with_betas,
+    _kernels,
 )
 from bandedhh.factor import _band_basis, _banded_qr, _complement_basis, as_matrix
 from oracle import implied_vector, orthogonality_defect, reconstruct_g
@@ -539,6 +540,25 @@ class TestOverflow:
         assert np.isfinite(recon).all()
         assert rel_err(recon, a) <= 1e-12
 
+    # Every product runs through the engine's prescale, so apply_to_matrix
+    # on the padded core gives reconstruct_a's bits near the limit too.
+    @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
+    def test_apply_to_matrix_matches_reconstruct_near_limit(self, method):
+        f = method(_frobenius_scaled(4, 2, 0.6, 145))
+        padded = np.zeros((4, 2))
+        padded[slice(0, 2) if f.placement is Placement.TOP else slice(2, 4)] = f.core
+        assert np.array_equal(_bits(apply_to_matrix(f.reflectors, padded)),
+                              _bits(reconstruct_a(f)))
+
+    # Square input gives G = I, and a peak above 2^1000 is scaled only to
+    # just under it, so entries beside it keep their bits.
+    def test_identity_keeps_small_entries_near_limit(self):
+        a = np.array([[1e308, 1.0 / 3], [1e-300, -0.0]])
+        f = factor_tall(a)
+        assert np.array_equal(_bits(reconstruct_a(f)), _bits(a))
+        for product in (apply, apply_transpose):
+            assert np.array_equal(_bits(product(f.reflectors, a[0])), _bits(a[0]))
+
     # Below 2^1000 the core is applied as it is, bit for bit.
     @pytest.mark.parametrize("scale", [1.0, 2.0**999])
     def test_reconstruct_unscaled_below_threshold(self, scale):
@@ -549,6 +569,16 @@ class TestOverflow:
         padded[:7] = f.core
         expected = apply_to_matrix(f.reflectors, padded)
         assert np.array_equal(_bits(reconstruct_a(f)), _bits(expected))
+        # and every product matches the unscaled block loop bit for bit
+        g = f.reflectors
+        blocks = _kernels.plan(g)
+        x = padded[:, 0].copy()
+        for transpose, vector_product in [(False, apply), (True, apply_transpose)]:
+            order = blocks if transpose else blocks[::-1]
+            raw = _kernels.apply_blocks(order, x.copy(), transpose)
+            assert np.array_equal(_bits(vector_product(g, x)), _bits(raw))
+            raw = _kernels.apply_blocks(order, padded.copy(), transpose)
+            assert np.array_equal(_bits(apply_to_matrix(g, padded, transpose)), _bits(raw))
 
     @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
     @pytest.mark.parametrize("m,n,fraction", [(200, 50, 0.99), (30, 22, 0.7), (8, 1, 0.5)])
