@@ -9,10 +9,10 @@ call and no loop per reflection. G x applies the blocks last to first, each
 as two matrix-vector products against V and one against T; G' x applies
 them first to last with T'. Both work unchanged on one or many columns.
 
-A plan is built once per block size and cached on the BandedReflectors,
-whose arrays are read-only so that it cannot go stale. It costs about one
-more copy of the free entries, k (w + b) floats, plus one b x b triangular T
-(b (b + 1) / 2 nonzeros) per block, held while the factor lives.
+A BandedReflectors caches one plan, which a call with another block size
+replaces; its arrays are read-only, so the plan cannot go stale. A plan costs
+about one more copy of the free entries, k (w + b) floats, plus one b x b
+triangular T (b (b + 1) / 2 nonzeros) per block, held while the factor lives.
 
 The same block loop also applies the unbanded reflectors of a LAPACK QR
 (raw_blocks), whose vectors run to the last row; factor_complement forms
@@ -100,18 +100,18 @@ def build_blocks(g, start: int, size: int, count: int) -> list[BlockedWY]:
 
 
 def plan(g, block_size: int = BLOCK_SIZE) -> tuple[BlockedWY, ...]:
-    """The cached WY blocks covering g's reflections, in ascending order.
+    """The blocks of g's one cached WY plan, rebuilt when block_size changes.
 
-    The last block is smaller when block_size does not divide the count.
+    They run in ascending order; the last is smaller when block_size does
+    not divide the count.
     """
-    cached = g._plans.get(block_size)
-    if cached is None:
+    cached_size, blocks = g._plan
+    if cached_size != block_size:
         full, rest = divmod(g.count, block_size)
-        blocks = build_blocks(g, 0, block_size, full)
-        if rest:
-            blocks += build_blocks(g, full * block_size, rest, 1)
-        cached = g._plans[block_size] = tuple(blocks)
-    return cached
+        tail = build_blocks(g, full * block_size, rest, 1) if rest else []
+        blocks = tuple(build_blocks(g, 0, block_size, full) + tail)
+        g._plan = (block_size, blocks)
+    return blocks
 
 
 def raw_blocks(h: np.ndarray, tau: np.ndarray):

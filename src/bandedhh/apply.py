@@ -3,9 +3,9 @@
 Every product here, with G or with G', runs through one engine: a
 band-compact WY plan (blocks of consecutive reflections in I - V T V'
 form, default block size BLOCK_SIZE = 32), built on first use and cached on
-the BandedReflectors. The plan holds about one more copy of the free
-entries plus b(b + 1)/2 scalars per block while the factor lives; see
-_kernels for the layout.
+the BandedReflectors until a call with another block size replaces it. The
+plan holds about one more copy of the free entries plus b(b + 1)/2 scalars
+per block while the factor lives; see _kernels for the layout.
 
 In the paper's count, G x costs 4 k w + 2 k flops for k reflections of
 bandwidth w, a fraction of the 2 m^2 of a dense multiply. apply_counted
@@ -115,7 +115,7 @@ def _check_block_size(block_size: int) -> None:
 
 
 def wy_chain(g: BandedReflectors, block_size: int) -> tuple[BlockedWY, ...]:
-    """The cached WY plan: blocks covering all reflections in ascending order.
+    """The factor's cached WY plan, rebuilt for a block_size it does not hold.
 
     The last block is smaller when block_size does not divide count.
     """

@@ -168,7 +168,7 @@ BENCH_COLUMNS = 64
 
 
 def _time_per_call(func, repetitions: int) -> float:
-    func()  # warm-up: the first banded call builds the cached plan
+    func()  # warm-up: the first banded call builds the plan for its block size
     best = float("inf")
     for _ in range(repetitions):
         t0 = time.perf_counter()
@@ -178,7 +178,7 @@ def _time_per_call(func, repetitions: int) -> float:
 
 
 def _time_plan_build(g, repetitions: int) -> float:
-    # Each repetition builds the plan of a fresh copy, so none hits the cache.
+    # Each repetition builds the plan of a fresh copy, whose plan slot is empty.
     best = float("inf")
     for _ in range(repetitions):
         fresh = BandedReflectors(g.ambient_dim, g.free_entries, g.betas)

@@ -69,14 +69,14 @@ class BandedReflectors:
     betas[i] = 2 / (v_i' v_i), or exactly 0.0 for a skipped reflection,
     which behaves as the identity. count + bandwidth = ambient_dim always.
 
-    Both arrays are private read-only copies, so the WY plans cached on the
-    instance (see _kernels) always describe the reflections it holds.
+    Both arrays are private read-only copies, so the one WY plan cached on
+    the instance (see _kernels) always describes the reflections it holds.
     """
 
     ambient_dim: int
     free_entries: np.ndarray
     betas: np.ndarray
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plan: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.free_entries = np.array(self.free_entries, dtype=np.float64)
@@ -120,9 +120,10 @@ class CompactSubspaceFactor:
 
     def __post_init__(self):
         self.core = np.array(self.core, dtype=np.float64, order="C")
-        n = self.core.shape[0]
-        if self.core.shape != (n, n):
+        self.placement = Placement(self.placement)
+        if self.core.ndim != 2 or self.core.shape[0] != self.core.shape[1]:
             raise ShapeError(f"core must be square, got {self.core.shape}")
+        n = self.core.shape[0]
         m = self.reflectors.ambient_dim
         expected = n if self.placement is Placement.TOP else m - n
         if self.reflectors.count != expected:

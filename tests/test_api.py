@@ -1,4 +1,4 @@
-"""The public surface: what the README shows runs, and __all__ is pinned."""
+"""The public surface: the README example runs and names all of the pinned __all__."""
 import re
 from pathlib import Path
 
@@ -51,3 +51,9 @@ def test_all_is_the_documented_surface():
     assert set(bandedhh.__all__) == PUBLIC
     for name in PUBLIC:
         getattr(bandedhh, name)
+
+
+def test_readme_names_every_public_name():
+    text = README.read_text()
+    missing = [n for n in bandedhh.__all__ if not re.search(rf"\b{re.escape(n)}\b", text)]
+    assert missing == []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -337,8 +339,37 @@ class TestWYEngine:
 
     def test_plan_is_cached(self):
         g = tall_g(60, 20, 47)
-        assert wy_chain(g, 32) is wy_chain(g, 32)
-        assert wy_chain(g, 8) is not wy_chain(g, 32)
+        default = wy_chain(g, 32)
+        assert wy_chain(g, 32) is default
+        eight = wy_chain(g, 8)
+        assert eight is not default and len(eight) == 3
+        assert wy_chain(g, 8) is eight
+        # The factor holds one plan: size 8 replaced size 32, so asking for
+        # 32 again builds a new plan with the same bits.
+        rebuilt = wy_chain(g, 32)
+        assert rebuilt is not default
+        for old, new in zip(default, rebuilt, strict=True):
+            assert np.array_equal(old.v_block, new.v_block)
+            assert np.array_equal(old.t_block, new.t_block)
+        assert wy_chain(g, 32) is rebuilt
+
+    def test_factor_holds_one_plan(self):
+        # 1000x100: 720 kB of free entries, and a plan of any block size up
+        # to 32 holds about 1.1x that, so one plan fits the bound and two do not.
+        g = tall_g(1000, 100, 50)
+        x = np.random.default_rng(51).standard_normal(1000)
+        apply(tall_g(40, 10, 52), x[:40])  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            apply(g, x)
+            for b in (1, 4, 8, 16):
+                apply_blocked(g, x, b)
+            apply(g, x)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 * g.free_entries.nbytes
 
     def test_factor_arrays_are_read_only_copies(self):
         free, betas = np.ones((3, 2)), np.ones(3)

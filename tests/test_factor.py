@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -19,9 +20,11 @@ from bandedhh import (
     factor_auto,
     factor_complement,
     factor_tall,
+    read_factor,
     reconstruct_a,
     storage_floats,
     storage_floats_with_betas,
+    write_factor,
     _kernels,
 )
 from bandedhh.factor import _band_basis, _banded_qr, _complement_basis, as_matrix
@@ -60,6 +63,29 @@ class TestCompactSubspaceFactor:
         g = factor_tall(random_matrix(7, 3, 0)).reflectors
         with pytest.raises(ShapeError, match=r"^core must be square, got \(4, 3\)$"):
             CompactSubspaceFactor(g, np.zeros((4, 3)), Placement.TOP)
+
+    def test_zero_dimensional_core_is_a_shape_error(self):
+        g = factor_tall(random_matrix(7, 3, 0)).reflectors
+        with pytest.raises(ShapeError, match=r"^core must be square, got \(\)$"):
+            CompactSubspaceFactor(g, 5.0, Placement.TOP)
+
+    def test_integer_placement_becomes_a_member(self):
+        f = factor_complement(random_matrix(5, 3, 0))
+        copy = CompactSubspaceFactor(f.reflectors, f.core, 1)
+        assert copy.placement is Placement.BOTTOM
+        sink = io.BytesIO()
+        write_factor(copy, sink)
+        sink.seek(0)
+        back = read_factor(sink)
+        assert back.placement is Placement.BOTTOM
+        assert np.array_equal(back.core, f.core)
+        assert np.array_equal(back.reflectors.free_entries, f.reflectors.free_entries)
+
+    @pytest.mark.parametrize("placement", ["TOP", 2, None])
+    def test_placement_outside_the_enum_is_rejected(self, placement):
+        f = factor_tall(random_matrix(7, 3, 0))
+        with pytest.raises(ValueError, match="is not a valid Placement"):
+            CompactSubspaceFactor(f.reflectors, f.core, placement)
 
     def test_placement_needs_matching_count(self):
         f = factor_tall(random_matrix(9, 4, 0))

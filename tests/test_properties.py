@@ -1,5 +1,8 @@
 """Property tests over generated inputs (skipped when hypothesis is absent)."""
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,3 +324,36 @@ def test_complement_core_is_the_bottom_of_g_t_a(params):
     bound = CORE_C * EPS * np.linalg.norm(a)
     assert np.linalg.norm(core - gt_a[m - n :]) <= bound
     assert np.linalg.norm(gt_a[: m - n]) <= bound
+
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_is_reported(tmp_path):
+    # On a failure hypothesis imports libcst, whose import emits a
+    # DeprecationWarning; unless pyproject.toml ignores it, warnings-as-errors
+    # turns it into an INTERNALERROR that hides the example and ends the
+    # session. It fires only at the first import in a process: a subprocess.
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY)
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in result.stdout
+    assert "1 failed, 1 passed" in result.stdout
+    assert "Falsifying example" in result.stdout
