@@ -20,10 +20,17 @@ its complement basis that way. It takes the V of its own reflectors from
 band_vt, the layout the plan's blocks use, and needs no T and no plan.
 
 Each block forms V'x before it scales by T, which overflows near half the
-largest double although G is orthogonal, so apply_plan scales an operand
-whose peak exceeds 2^1000 by the power of two that brings it just under,
-and back: exact bar entries below 2^-998, which fall subnormal. NaN and
-Inf never trigger it.
+largest double although G is orthogonal. This module holds the one
+float64-range rule: in_range shifts each column whose peak exceeds 2^1000
+by the power of two that brings that peak just under it, and leaves every
+other column as it is, bit for bit. apply_plan shifts its operand so and
+shifts the product back, and the factor pipelines (factor._tall and
+factor._complement) run on a shifted input and shift only the finished
+core back. Below 2^1000 per column, no intermediate of either can
+overflow: each is bounded by about sqrt(m n) 2^1000. Columns never mix
+under G, so the shift is exact except for the entries below 2^-998 of a
+shifted column, which fall subnormal and lose bits (at most 2^-1998 of
+that column's peak). NaN and Inf never trigger it.
 """
 
 from dataclasses import dataclass
@@ -148,12 +155,22 @@ def apply_blocks(blocks, x: np.ndarray, transpose: bool) -> np.ndarray:
     return x
 
 
+def in_range(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """x brought into range, and the shift: (x 2^-e, e), one e per column.
+
+    A column whose peak exceeds 2^1000 is shifted to just under it; every
+    other column gets e = 0 and keeps its bits. A vector is one column. The
+    shifted x is written to out (a new array when out is None); when no
+    column is shifted, x itself is returned.
+    """
+    peak = np.maximum(x.max(axis=0, initial=0.0), -x.min(axis=0, initial=0.0))
+    e = np.where((2.0**1000 < peak) & (peak < np.inf), np.frexp(peak)[1] - 1000, 0)
+    return (np.ldexp(x, -e, out=out) if e.any() else x), e
+
+
 def apply_plan(g, x: np.ndarray, transpose: bool, block_size: int = BLOCK_SIZE) -> np.ndarray:
     """Overwrite x (a vector or a matrix of columns) with G x, or G' x."""
     blocks = plan(g, block_size)
-    peak = max(x.max(initial=0.0), -x.min(initial=0.0))
-    e = int(np.frexp(peak)[1]) - 1000 if 2.0**1000 < peak < np.inf else 0
-    if e:
-        np.ldexp(x, -e, out=x)
+    x, e = in_range(x, out=x)
     apply_blocks(blocks if transpose else reversed(blocks), x, transpose)
-    return np.ldexp(x, e, out=x) if e else x
+    return np.ldexp(x, e, out=x) if e.any() else x

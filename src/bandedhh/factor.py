@@ -141,11 +141,13 @@ def _checked(a, name: str) -> np.ndarray:
     return a
 
 
-def _fits(x: np.ndarray) -> np.ndarray:
-    """x, or a ValueError if computing it overflowed float64."""
-    if not np.isfinite(x).all():
+def _fits(core: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """core times 2^e per column, or a ValueError if that overflows float64."""
+    with np.errstate(over="ignore"):
+        core = np.ldexp(core, e, out=core) if e.any() else core
+    if not np.isfinite(core).all():
         raise ValueError("the factor of this matrix overflows float64")
-    return x
+    return core
 
 
 def factor_tall(a) -> CompactSubspaceFactor:
@@ -165,11 +167,14 @@ def factor_tall(a) -> CompactSubspaceFactor:
     the complement path's U2 included, are not validated again. The free
     entries are read from LAPACK's output through one skewed strided view.
 
-    dlarfg scales its norms, so nothing underflows, but a finite input
-    near the largest double can still overflow: a column whose norm
-    exceeds it, or an intermediate such as ||x|| + |x[0]| in dlarfg. Then
-    a ValueError names the float64 overflow, and no non-finite factor is
-    returned. Only the betas and the core are checked. Sign convention:
+    dlarfg scales its norms, so nothing underflows. Overflow follows the
+    apply engine's one rule (_kernels.in_range): the pipeline runs on a
+    with each column whose peak exceeds 2^1000 shifted by a power of two to
+    just under it, so no intermediate overflows, and only the finished core
+    is shifted back. Column j of the core has the 2-norm of column j of a,
+    so the core can overflow only when a column's 2-norm exceeds the
+    largest double. Then a ValueError names the float64 overflow, and no
+    non-finite factor is returned. Sign convention:
     v = x + sign(x[0]) ||x|| e1 with sign() read from the sign bit, so a
     -0.0 pivot counts as negative; a column that is already zero below its
     pivot gets beta = 0 (the identity).
@@ -194,13 +199,11 @@ def _tall(a: np.ndarray) -> CompactSubspaceFactor:
     if m == n:
         g = BandedReflectors(m, np.zeros((n, 0)), np.zeros(n))
         return CompactSubspaceFactor(g, a, Placement.TOP)
-    # An overflow is reported by _fits, from the betas and the core; numpy's
-    # warnings on the way there would only precede it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        band, x = _band_basis(a)
-        g, h = _banded_qr(band)
-        core = np.triu(h[:, :n].T) @ x.T
-    return CompactSubspaceFactor(g, _fits(core), Placement.TOP)
+    a, e = _kernels.in_range(a)
+    band, x = _band_basis(a)
+    g, h = _banded_qr(band)
+    core = np.triu(h[:, :n].T) @ x.T
+    return CompactSubspaceFactor(g, _fits(core, e), Placement.TOP)
 
 
 def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,14 +234,13 @@ def _banded_qr(band: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
     Also returns LAPACK's output transposed, h: row i holds column i of R
     up to the diagonal, then the tail of reflection i. The first m - n
     tail entries are the free entries; the rest, h[i, i+1+w:], are
-    structural zeros and exact by construction.
+    structural zeros and exact by construction. band comes from input
+    whose columns peak at or below 2^1000, so the QR cannot overflow, and
+    a nonzero below the band can only be a band defect.
     """
     m, n = band.shape
     w = m - n
     h, betas = np.linalg.qr(band, mode="raw")
-    # Before the leak check: NaN from an overflow spreads below the band too,
-    # and is no band defect.
-    _fits(betas)
     if np.triu(h[:, w + 1 :]).any():
         raise RuntimeError("reflection vector leaked outside the band")
     # Free entries of reflection i are h[i, i + 1 : i + 1 + w]: stepping one
@@ -252,7 +254,6 @@ def _complement_basis(a: np.ndarray) -> np.ndarray:
     """U2 = H_1 ... H_n (0; I_{m-n}): the last m - n columns of the Q of a."""
     m, n = a.shape
     h, tau = np.linalg.qr(a, mode="raw")
-    _fits(tau)
     u2 = np.eye(m, m - n, -n)
     return _kernels.apply_blocks(_kernels.raw_blocks(h, tau), u2, transpose=False)
 
@@ -284,8 +285,11 @@ def factor_complement(a) -> CompactSubspaceFactor:
     Square input short-circuits to an empty G and B = a, bit-exactly. For
     numerically rank-deficient input the complement basis is not unique,
     so neither is the output, but the reconstruction contract still holds.
-    The input is validated once, on entry, and an overflow raises the
-    ValueError that factor_tall describes.
+    The input is validated once, on entry, and its columns are shifted
+    below 2^1000 as factor_tall describes. The shift leaves range(a), on
+    which G depends, unchanged, and the core solve acts column by column,
+    so only the finished core is shifted back. It raises factor_tall's ValueError when
+    that core, or the solve for W, overflows float64.
     """
     return _complement(_checked(a, "factor_complement"))
 
@@ -296,15 +300,17 @@ def _complement(a: np.ndarray) -> CompactSubspaceFactor:
         g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
         return CompactSubspaceFactor(g, a, Placement.BOTTOM)
     k = m - n
+    a, e = _kernels.in_range(a)
     g = _banded_qr(_band_basis(_complement_basis(a))[0])[0]
     # B = a[k:] - V2 V1^-1 a[:k], from the vanishing top rows of G' a. V' is
-    # freed before the factor copies B.
+    # freed before the factor copies B. W = V1^-1 a[:k] is not bounded by a,
+    # so an overflow there is left to _fits.
     vt = _kernels.band_vt(g.free_entries)
     with np.errstate(over="ignore", invalid="ignore"):
         core = vt[:, k:].T @ np.linalg.solve(vt[:, :k].T, a[:k])
         np.subtract(a[k:], core, out=core)
     del vt
-    return CompactSubspaceFactor(g, _fits(core), Placement.BOTTOM)
+    return CompactSubspaceFactor(g, _fits(core, e), Placement.BOTTOM)
 
 
 def factor_auto(a) -> CompactSubspaceFactor:

@@ -1,10 +1,14 @@
 """The public surface: the README example runs and names all of the pinned __all__."""
 import re
+import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import bandedhh
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+CODE_LINES = README.parent / "scripts" / "code_lines.py"
 
 PUBLIC = {
     "BlockedWY",
@@ -57,3 +61,35 @@ def test_readme_names_every_public_name():
     text = README.read_text()
     missing = [n for n in bandedhh.__all__ if not re.search(rf"\b{re.escape(n)}\b", text)]
     assert missing == []
+
+
+# scripts/code_lines.py counts neither blank lines, comment-only lines nor
+# module, class or function docstrings; a string that is not a docstring,
+# and a line with code before its comment, are code.
+SAMPLE = '''"""Module docstring,
+two lines."""
+
+import os  # a comment after code
+
+
+class A:
+    """Class docstring."""
+
+    # a comment alone
+    def f(self):
+        """Function docstring."""
+        return """not a docstring
+        """
+'''
+
+
+def test_code_lines_script(tmp_path):
+    (tmp_path / "sample.py").write_text(SAMPLE)
+    assert runpy.run_path(str(CODE_LINES))["code_lines"](tmp_path / "sample.py") == 5
+    out = subprocess.run([sys.executable, str(CODE_LINES)],
+                         capture_output=True, text=True, check=True).stdout
+    rows = [line.split() for line in out.splitlines()]
+    package = README.parent / "src" / "bandedhh"
+    assert [name for name, _ in rows[:-1]] == sorted(p.name for p in package.glob("*.py"))
+    assert rows[-1][0] == "total"
+    assert int(rows[-1][1]) == sum(int(count) for _, count in rows[:-1])

@@ -517,24 +517,28 @@ def _huge_entries_5x2():
     return a
 
 
+def _graded_columns(m, n, seed):
+    # Gaussian columns: the first scaled to peak at 1e307, the second by
+    # 1e-305, the rest as drawn.
+    x = random_matrix(m, n, seed)
+    x[:, 0] *= 1e307 / np.abs(x[:, 0]).max()
+    x[:, 1] *= 1e-305
+    return x
+
+
 class TestOverflow:
-    # A finite input whose factor does not fit in float64 raises one
-    # ValueError, and no RuntimeWarning escapes (tier-1 turns warnings into
-    # errors). Each case overflows somewhere else:
-    # - 8x1 of 1.7e308: the column norm, so the core holds -inf;
-    # - 8x1 at 0.9 DBL_MAX (seed 1): |a[0]| + ||a|| inside dlarfg;
-    # - 3x1 (1.7e308, 1, 1): the beta alone, while the core still fits;
-    # - 4x3 with two entries of 1.7e308: NaN reaches the banded QR, whose
-    #   leak check would misreport it as a band defect;
-    # - 5x2 with five entries of 1.7e308: a matrix product of the tall
-    #   pipeline, with every beta finite;
-    # - 8x6 with a column of 1.7e308: factor_auto places it BOTTOM, where
-    #   the raw QR's beta is NaN.
+    # Both pipelines run on the input with every column whose peak exceeds
+    # 2^1000 shifted by a power of two to just under it, so no intermediate
+    # overflows, and the finished core is shifted back. A finite input
+    # raises one ValueError only when that core does not fit in float64,
+    # which needs a column whose 2-norm exceeds DBL_MAX, and no
+    # RuntimeWarning escapes (tier-1 turns warnings into errors). The
+    # largest column norms of these cases are 2.7, 1.6 and 2.7 DBL_MAX:
+    # - 8x1 of 1.7e308;
+    # - 5x2 with five entries of 1.7e308;
+    # - 8x6 with a column of 1.7e308, which factor_auto places BOTTOM.
     CASES = {
         "8x1 of 1.7e308": lambda: np.full((8, 1), 1.7e308),
-        "8x1 at 0.9 DBL_MAX": lambda: _frobenius_scaled(8, 1, 0.9, 1),
-        "3x1 beta": lambda: np.array([[1.7e308], [1.0], [1.0]]),
-        "4x3 band leak": _two_huge_entries,
         "5x2 product": _huge_entries_5x2,
         "8x6, column of 1.7e308": _first_column_huge,
     }
@@ -544,6 +548,29 @@ class TestOverflow:
     def test_raises_overflow_error(self, case, method):
         with pytest.raises(ValueError, match="^the factor of this matrix overflows float64$"):
             method(self.CASES[case]())
+
+    # Inputs whose every column norm is at most DBL_MAX, which once
+    # overflowed unshifted: |a[0]| + ||a|| inside dlarfg (8x1 at 0.9
+    # DBL_MAX, seed 1), the beta alone (3x1), and NaN reaching the banded
+    # QR's band-leak check (4x3 with two entries of 1.7e308).
+    FITTING = {
+        "8x1 at 0.9 DBL_MAX": lambda: _frobenius_scaled(8, 1, 0.9, 1),
+        "3x1 beta": lambda: np.array([[1.7e308], [1.0], [1.0]]),
+        "4x3 band leak": _two_huge_entries,
+    }
+
+    @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
+    @pytest.mark.parametrize("case", list(FITTING))
+    def test_column_within_limit_factors(self, case, method):
+        a = self.FITTING[case]()
+        f = method(a)
+        assert rel_err(reconstruct_a(f), a) <= 1e-12
+        assert _probe(f.reflectors) <= 1e-12
+        buf = io.BytesIO()
+        write_factor(f, buf)
+        back = read_factor(io.BytesIO(buf.getvalue()))
+        assert back.placement is f.placement
+        _assert_same_factor(back, f.reflectors, f.core)
 
     def test_complement_core_skips_g_t_a_overflow(self):
         # The whole G'A product overflows here, in the engine's V'x; the
@@ -605,6 +632,31 @@ class TestOverflow:
             assert np.array_equal(_bits(vector_product(g, x)), _bits(raw))
             raw = _kernels.apply_blocks(order, padded.copy(), transpose)
             assert np.array_equal(_bits(apply_to_matrix(g, padded, transpose)), _bits(raw))
+
+    # Columns never mix under G, so each is shifted on its own: a column at
+    # 1e-305 beside one that peaks at 1e307 keeps its relative accuracy,
+    # where one shift for the whole operand left it subnormal. The
+    # reference applies that column alone, 2^1000 times larger, and the
+    # error is measured at that scale, where its norm cannot underflow.
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_product_keeps_small_column_beside_huge(self, transpose):
+        g = factor_auto(random_matrix(60, 20, 60)).reflectors
+        x = _graded_columns(60, 3, 61)
+        out = apply_to_matrix(g, x, transpose)
+        expected = apply_to_matrix(g, np.ldexp(x[:, 1:2], 1000), transpose)
+        err = np.linalg.norm(np.ldexp(out[:, 1:2], 1000) - expected)
+        assert err <= 1e-15 * np.linalg.norm(expected)
+
+    def test_reconstruct_keeps_small_column_beside_huge(self):
+        f = factor_auto(random_matrix(60, 20, 60))
+        assert f.placement is Placement.TOP
+        core = _graded_columns(20, 20, 62)
+        recon = reconstruct_a(CompactSubspaceFactor(f.reflectors, core, Placement.TOP))
+        padded = np.zeros((60, 1))
+        padded[:20] = np.ldexp(core[:, 1:2], 1000)
+        expected = apply_to_matrix(f.reflectors, padded)
+        err = np.linalg.norm(np.ldexp(recon[:, 1:2], 1000) - expected)
+        assert err <= 1e-15 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
     @pytest.mark.parametrize("m,n,fraction", [(200, 50, 0.99), (30, 22, 0.7), (8, 1, 0.5)])
