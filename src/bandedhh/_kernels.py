@@ -33,6 +33,7 @@ shifted column, which fall subnormal and lose bits (at most 2^-1998 of
 that column's peak). NaN and Inf never trigger it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,12 @@ def band_vt(tails: np.ndarray) -> np.ndarray:
     *stack, size, w = tails.shape
     # Rows of length size + w + 1 holding [1, tail_j, 0 ...], read back end
     # to end in rows of length size + w, shift row j right by exactly j columns.
-    skewed = np.empty((*stack, size, size + w + 1))
+    # The buffer starts on a 64-byte cache line: a 4096x512 plan whose V
+    # stack started 16, 32 or 48 bytes past one applied 2-8% slower.
+    shape = (*stack, size, size + w + 1)
+    raw = np.empty(math.prod(shape) + 8)
+    start = -raw.ctypes.data % 64 // 8
+    skewed = raw[start : start + math.prod(shape)].reshape(shape)
     skewed[..., 0] = 1.0
     skewed[..., 1 : 1 + w] = tails
     skewed[..., 1 + w :] = 0.0
@@ -163,6 +169,10 @@ def in_range(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, 
     shifted x is written to out (a new array when out is None); when no
     column is shifted, x itself is returned.
     """
+    # The per-column pass costs ~3x one flat max/min pass, so it runs only
+    # when the flat peak is above 2^1000 or not a number at all.
+    if max(x.max(initial=0.0), -x.min(initial=0.0)) <= 2.0**1000:
+        return x, np.zeros(x.shape[1:], dtype=int)
     peak = np.maximum(x.max(axis=0, initial=0.0), -x.min(axis=0, initial=0.0))
     e = np.where((2.0**1000 < peak) & (peak < np.inf), np.frexp(peak)[1] - 1000, 0)
     return (np.ldexp(x, -e, out=out) if e.any() else x), e

@@ -1,11 +1,11 @@
 """Applying banded reflection products to vectors and matrices.
 
-Every product here, with G or with G', runs through one engine: a
-band-compact WY plan (blocks of consecutive reflections in I - V T V'
-form, default block size BLOCK_SIZE = 32), built on first use and cached on
-the BandedReflectors until a call with another block size replaces it. The
-plan holds about one more copy of the free entries plus b(b + 1)/2 scalars
-per block while the factor lives; see _kernels for the layout.
+Every product here, with G or with G', runs through one engine, private to
+_kernels: a band-compact WY plan (blocks of consecutive reflections in
+I - V T V' form, 32 to a block unless apply_blocked asks for another
+size), built on first use and cached on the BandedReflectors until a call
+with another block size replaces it. The plan holds about one more copy of
+the free entries plus b(b + 1)/2 scalars per block while the factor lives.
 
 In the paper's count, G x costs 4 k w + 2 k flops for k reflections of
 bandwidth w, a fraction of the 2 m^2 of a dense multiply. apply_counted
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import BLOCK_SIZE, BlockedWY
 from .factor import BandedReflectors, ShapeError
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "apply_transpose",
     "apply_counted",
     "apply_to_matrix",
-    "BlockedWY",
-    "wy_chain",
     "apply_blocked",
 ]
 
@@ -109,21 +106,8 @@ def apply_to_matrix(g: BandedReflectors, a, transpose: bool = False) -> np.ndarr
     return _kernels.apply_plan(g, out, transpose)
 
 
-def _check_block_size(block_size: int) -> None:
-    if not isinstance(block_size, (int, np.integer)) or block_size < 1:
-        raise ShapeError("block size must be an integer of at least 1")
-
-
-def wy_chain(g: BandedReflectors, block_size: int) -> tuple[BlockedWY, ...]:
-    """The factor's cached WY plan, rebuilt for a block_size it does not hold.
-
-    The last block is smaller when block_size does not divide count.
-    """
-    _check_block_size(block_size)
-    return _kernels.plan(g, block_size)
-
-
 def apply_blocked(g: BandedReflectors, x, block_size: int) -> np.ndarray:
     """Return G x through the cached WY plan with the given block size."""
-    _check_block_size(block_size)
+    if not isinstance(block_size, (int, np.integer)) or block_size < 1:
+        raise ShapeError("block size must be an integer of at least 1")
     return _kernels.apply_plan(g, _vector_copy(g, x), False, block_size)

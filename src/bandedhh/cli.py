@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import storage
-from .apply import BLOCK_SIZE, apply, apply_blocked, apply_to_matrix, apply_transpose, wy_chain
+from . import _kernels, storage
+from .apply import apply, apply_blocked, apply_to_matrix, apply_transpose
 from .factor import (
     BandedReflectors,
     Placement,
@@ -183,7 +183,7 @@ def _time_plan_build(g, repetitions: int) -> float:
     for _ in range(repetitions):
         fresh = BandedReflectors(g.ambient_dim, g.free_entries, g.betas)
         t0 = time.perf_counter()
-        wy_chain(fresh, BLOCK_SIZE)
+        _kernels.plan(fresh)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -220,7 +220,7 @@ def _cmd_bench(args) -> int:
     reps = args.repetitions
 
     build = _time_plan_build(g, reps)
-    print(f"plan build (block size {BLOCK_SIZE}): {build * 1e9:.0f} ns")
+    print(f"plan build (block size {_kernels.BLOCK_SIZE}): {build * 1e9:.0f} ns")
     dense_g = apply_to_matrix(g, np.eye(args.m))
     _print_timing("dense matvec", _time_per_call(lambda: dense_g @ x, reps), dense_flops)
     _print_timing("banded matvec", _time_per_call(lambda: apply(g, x), reps), banded_flops)
@@ -231,7 +231,7 @@ def _cmd_bench(args) -> int:
                   banded_flops * BENCH_COLUMNS, "call")
 
     b = args.block_size
-    print(f"blocked: block size {b}, blocks {len(wy_chain(g, b))}")
+    print(f"blocked: block size {b}, blocks {len(_kernels.plan(g, b))}")
     _print_timing("blocked matvec", _time_per_call(lambda: apply_blocked(g, x, b), reps),
                   banded_flops)
     return 0
@@ -289,7 +289,3 @@ def main(argv=None) -> int:
         return args.func(args)
     except ShapeError as exc:
         return _fail(str(exc))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,7 +22,6 @@ from . import _kernels
 
 __all__ = [
     "ShapeError",
-    "as_matrix",
     "Placement",
     "BandedReflectors",
     "CompactSubspaceFactor",

@@ -40,7 +40,6 @@ import numpy as np
 from .factor import BandedReflectors, CompactSubspaceFactor, Placement, as_matrix
 
 __all__ = [
-    "MAGIC",
     "FactorFormatError",
     "BadMagicError",
     "TruncatedPayloadError",

@@ -1,3 +1,4 @@
+import os
 import struct
 import subprocess
 import sys
@@ -384,6 +385,15 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_module_entry_point(self, capsys):
+        assert main(["report", "7", "4"]) == 0
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-m", "bandedhh", "report", "7", "4"],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0
+        assert result.stdout == capsys.readouterr().out
 
     def test_parser_built_once_per_process(self, capsys):
         cli._build_parser.cache_clear()
