@@ -10,7 +10,6 @@ import hashlib
 import io as stdio
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,45 +36,6 @@ _MODES = {
 }
 
 
-@dataclass
-class StorageReport:
-    """Float counts for the three ways of storing an m x n orthogonal part."""
-
-    m: int
-    n: int
-
-    @property
-    def dense_floats(self) -> int:
-        return self.m * self.n
-
-    @property
-    def householder_floats(self) -> int:
-        # n (m - (n + 1)/2) is always an integer: n(n + 1)/2 is triangular
-        return self.n * self.m - self.n * (self.n + 1) // 2
-
-    @property
-    def banded_floats(self) -> int:
-        return self.n * (self.m - self.n)
-
-    def lines(self) -> list[str]:
-        def percent(num, den):
-            return f"{100.0 * num / den:.1f}%" if den else "n/a"
-
-        return [
-            f"m={self.m} n={self.n}",
-            f"dense:       {self.dense_floats}",
-            f"householder: {self.householder_floats:.1f}",
-            f"banded:      {self.banded_floats}",
-            f"banded/dense:       {percent(self.banded_floats, self.dense_floats)}",
-            f"banded/householder: {percent(self.banded_floats, self.householder_floats)}",
-        ]
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 def _require_shape(command: str, m: int, n: int) -> None:
     if m < n or n < 0:
         raise ShapeError(f"{command} requires m >= n >= 0, got m={m} n={n}")
@@ -93,18 +53,12 @@ def _relative_residual(recon: np.ndarray, a: np.ndarray) -> float:
 
 
 def _cmd_factor(args) -> int:
-    try:
-        a = storage.read_matrix(args.input)
-        f = _MODES[args.mode](a)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    a = storage.read_matrix(args.input)
+    f = _MODES[args.mode](a)
     g = f.reflectors
     residual = _relative_residual(reconstruct_a(f), a)
-    try:
-        with open(args.output, "wb") as fh:
-            nbytes = storage.write_factor(f, fh)
-    except OSError as exc:
-        return _fail(str(exc))
+    with open(args.output, "wb") as fh:
+        nbytes = storage.write_factor(f, fh)
     print(f"placement: {f.placement.name}")
     print(f"storage: {storage_floats(g)} floats (+{g.count} betas)")
     print(f"residual: {residual:.3e}")
@@ -131,20 +85,14 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    try:
-        with open(args.factor, "rb") as fh:
-            f = storage.read_factor(fh)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        vec = storage.read_matrix(args.vector)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    with open(args.factor, "rb") as fh:
+        f = storage.read_factor(fh)
+    vec = storage.read_matrix(args.vector)
     if vec.shape[1] != 1:
-        return _fail(f"expected a column vector, got {vec.shape[0]} x {vec.shape[1]}")
+        raise ShapeError(f"expected a column vector, got {vec.shape[0]} x {vec.shape[1]}")
     g = f.reflectors
     if vec.shape[0] != g.ambient_dim:
-        return _fail(
+        raise ShapeError(
             f"vector length {vec.shape[0]} does not match factor dimension "
             f"{g.ambient_dim}"
         )
@@ -152,15 +100,30 @@ def _cmd_apply(args) -> int:
     with np.errstate(all="ignore"):
         result = apply_transpose(g, x) if args.transpose else apply(g, x)
     if not np.isfinite(result).all():
-        return _fail("the product overflows to non-finite values")
+        raise ValueError("the product overflows to non-finite values")
     storage.write_matrix(result.reshape(-1, 1), sys.stdout)
     return 0
 
 
+def _storage_counts(m: int, n: int) -> tuple[int, int, int]:
+    """Floats to store an m x n orthogonal part: dense, Householder, banded."""
+    # n (m - (n + 1)/2) is always an integer: n(n + 1)/2 is triangular
+    return m * n, n * m - n * (n + 1) // 2, n * (m - n)
+
+
 def _cmd_report(args) -> int:
     _require_shape("report", args.m, args.n)
-    for line in StorageReport(args.m, args.n).lines():
-        print(line)
+    dense, householder, banded = _storage_counts(args.m, args.n)
+
+    def percent(num, den):
+        return f"{100.0 * num / den:.1f}%" if den else "n/a"
+
+    print(f"m={args.m} n={args.n}")
+    print(f"dense:       {dense}")
+    print(f"householder: {householder:.1f}")
+    print(f"banded:      {banded}")
+    print(f"banded/dense:       {percent(banded, dense)}")
+    print(f"banded/householder: {percent(banded, householder)}")
     return 0
 
 
@@ -196,9 +159,9 @@ def _print_timing(label: str, seconds: float, flops: int, per: str = "matvec") -
 def _cmd_bench(args) -> int:
     _require_shape("bench", args.m, args.n)
     if args.repetitions < 1:
-        return _fail("repetitions must be at least 1")
+        raise ValueError("repetitions must be at least 1")
     if args.block_size < 1:
-        return _fail("block size must be at least 1")
+        raise ValueError("block size must be at least 1")
     rng = np.random.default_rng(args.seed)
     a = rng.standard_normal((args.m, args.n))
     f = factor_auto(a)
@@ -287,5 +250,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ShapeError as exc:
-        return _fail(str(exc))
+    except (OSError, ValueError) as exc:  # ShapeError and the format errors included
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

@@ -266,7 +266,12 @@ def read_matrix(src) -> np.ndarray:
         text = src.read()
     else:
         with open(src, "r", encoding="ascii") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise MatrixFormatError(
+                    f"not an ASCII file: byte 0x{exc.object[exc.start]:02x} "
+                    f"at offset {exc.start}") from None
     lines = text.split("\n")
     m, n = _read_header(lines[0])
     body = lines[1 : 1 + m]

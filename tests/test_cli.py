@@ -1,3 +1,5 @@
+import errno
+import io
 import os
 import struct
 import subprocess
@@ -53,13 +55,18 @@ class TestFactorCommand:
     def test_wide_input_rejected(self, tmp_path, capsys):
         write_random(tmp_path / "a.txt", 3, 5, 2)
         code = main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf")])
+        captured = capsys.readouterr()
         assert code == 1
-        assert "m >= n" in capsys.readouterr().err
+        assert captured.out == ""
+        assert captured.err == "error: factor_auto requires m >= n, got 3 x 5\n"
 
     def test_missing_input(self, tmp_path, capsys):
         code = main(["factor", str(tmp_path / "nope.txt"), str(tmp_path / "a.bhf")])
+        captured = capsys.readouterr()
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: [Errno 2] No such file or directory: '{tmp_path / 'nope.txt'}'\n")
 
     def test_self_check_passes(self, tmp_path, capsys):
         write_random(tmp_path / "a.txt", 12, 5, 3)
@@ -128,6 +135,34 @@ class TestFactorCommand:
         assert "self-check: ok" in capsys.readouterr().out
         assert len(reads) == 1
 
+    # The write succeeds and the re-read fails, as for an output file of mode 0200.
+    def test_self_check_reread_error(self, tmp_path, capsys, monkeypatch):
+        write_random(tmp_path / "a.txt", 12, 5, 3)
+        output = tmp_path / "a.bhf"
+        assert main(["factor", str(tmp_path / "a.txt"), str(output)]) == 0
+        written = capsys.readouterr().out
+
+        def refusing_open(path, mode="r", *args, **kwargs):
+            if mode == "rb" and str(path) == str(output):
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+        code = main(["factor", str(tmp_path / "a.txt"), str(output), "--self-check"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == written
+        assert len(written.splitlines()) == 4
+        assert captured.err == f"error: [Errno 13] Permission denied: '{output}'\n"
+
+    def test_non_ascii_input(self, tmp_path, capsys):
+        (tmp_path / "a.txt").write_bytes(b"\xef\xbb\xbf1 1\n2\n")
+        code = main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: not an ASCII file: byte 0xef at offset 0\n"
+
     def test_output_in_missing_directory(self, tmp_path, capsys):
         write_random(tmp_path / "a.txt", 7, 4, 0)
         code = main(["factor", str(tmp_path / "a.txt"),
@@ -135,7 +170,8 @@ class TestFactorCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err == (
+            f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing' / 'a.bhf'}'\n")
 
     # A valid factor whose core reaches 0.54 DBL_MAX: the reconstruction
     # behind the residual must not overflow to nan.
@@ -239,15 +275,19 @@ class TestApplyCommand:
         capsys.readouterr()
         write_random(tmp_path / "x.txt", 5, 1, 11)
         code = main(["apply", str(tmp_path / "a.bhf"), str(tmp_path / "x.txt")])
+        captured = capsys.readouterr()
         assert code == 1
-        assert "does not match" in capsys.readouterr().err
+        assert captured.out == ""
+        assert captured.err == "error: vector length 5 does not match factor dimension 9\n"
 
     def test_corrupt_factor_file(self, tmp_path, capsys):
         (tmp_path / "bad.bhf").write_bytes(b"XHF1" + b"\x00" * 40)
         write_random(tmp_path / "x.txt", 5, 1, 12)
         code = main(["apply", str(tmp_path / "bad.bhf"), str(tmp_path / "x.txt")])
+        captured = capsys.readouterr()
         assert code == 1
-        assert "magic" in capsys.readouterr().err
+        assert captured.out == ""
+        assert captured.err == "error: bad magic b'XHF1' at byte 0, expected b'BHF1'\n"
 
     def test_matrix_instead_of_vector(self, tmp_path, capsys):
         self._factor(tmp_path, 9, 4, 13)
@@ -261,8 +301,11 @@ class TestApplyCommand:
         self._factor(tmp_path, 9, 4, 15)
         capsys.readouterr()
         code = main(["apply", str(tmp_path / "a.bhf"), str(tmp_path / "nope.txt")])
+        captured = capsys.readouterr()
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: [Errno 2] No such file or directory: '{tmp_path / 'nope.txt'}'\n")
 
     @pytest.mark.parametrize("transpose", [[], ["--transpose"]])
     def test_overflowing_product(self, tmp_path, capsys, transpose):
@@ -274,6 +317,20 @@ class TestApplyCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: the product overflows to non-finite values\n"
+
+    def test_closed_stdout(self, tmp_path, capsys, monkeypatch):
+        self._factor(tmp_path, 9, 4, 6)
+        write_random(tmp_path / "x.txt", 9, 1, 7)
+        capsys.readouterr()
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["apply", str(tmp_path / "a.bhf"), str(tmp_path / "x.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
     # The exact product of the 2x2 hand reflection fits, so apply prints it.
     @pytest.mark.parametrize("transpose", [[], ["--transpose"]])
@@ -321,12 +378,10 @@ class TestReportCommand:
         assert "banded/dense:       50.0%" in capsys.readouterr().out
 
     def test_monotone_counts(self, capsys):
-        from bandedhh.cli import StorageReport
-
         for m in range(1, 101):
             for n in range(1, m + 1):
-                rep = StorageReport(m, n)
-                assert rep.banded_floats <= rep.householder_floats <= rep.dense_floats
+                dense, householder, banded = cli._storage_counts(m, n)
+                assert banded <= householder <= dense
 
     def test_invalid_shape(self, capsys):
         assert main(["report", "3", "5"]) == 1

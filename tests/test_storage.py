@@ -300,6 +300,17 @@ class TestMatrixText:
         path.write_bytes(text.encode())
         assert np.array_equal(read_matrix(path), expected)
 
+    # A stray byte, and the UTF-8 byte order mark some editors write.
+    @pytest.mark.parametrize("data,message", [
+        (b"1 1\n\xff\n", "not an ASCII file: byte 0xff at offset 4"),
+        (b"\xef\xbb\xbf1 1\n2\n", "not an ASCII file: byte 0xef at offset 0"),
+    ])
+    def test_non_ascii_file(self, tmp_path, data, message):
+        path = tmp_path / "a.txt"
+        path.write_bytes(data)
+        with pytest.raises(MatrixFormatError, match=f"^{message}$"):
+            read_matrix(path)
+
     def test_underscore_digits_read_as_float_does(self):
         assert read_matrix(io.StringIO("1 1\n1_0\n"))[0, 0] == 10.0
 
