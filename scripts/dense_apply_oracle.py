@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Reference check for `bandedhh apply`, kept independent of the package.
 
-Reads a factor file with its own parser, rebuilds the reflection product
-as dense m x m matrices, multiplies, and prints the result in the same
-text format as the CLI. Slow on purpose.
+Reads a BHF2 factor file with its own parser, derives each reflection's
+beta = 2 / (1 + t't) from its tail t with its own arithmetic, rebuilds
+the reflection product as dense m x m matrices, multiplies, and prints
+the result in the same text format as the CLI. Slow on purpose. Any
+other magic, BHF1 included, is refused.
 """
 
 import argparse
@@ -16,23 +18,22 @@ import numpy as np
 def read_factor_raw(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != b"BHF1":
-        raise SystemExit(f"not a factor file: {path}")
+    if data[:4] != b"BHF2":
+        raise SystemExit(f"not a BHF2 factor file: {path}")
     m, n, placement, k, w = struct.unpack_from("<5I", data, 4)
-    off = 24
-    betas = np.frombuffer(data, dtype="<f8", count=k, offset=off)
-    off += 8 * k
-    free = np.frombuffer(data, dtype="<f8", count=k * w, offset=off).reshape(k, w)
-    return m, n, placement, betas, free
+    free = np.frombuffer(data, dtype="<f8", count=k * w, offset=24).reshape(k, w)
+    return m, n, placement, free
 
 
-def dense_product(m, w, betas, free):
+def dense_product(m, free):
+    k, w = free.shape
     out = np.eye(m)
-    for i in range(len(betas)):
+    for i in range(k):
         v = np.zeros(m)
         v[i] = 1.0
         v[i + 1 : i + 1 + w] = free[i]
-        out = out @ (np.eye(m) - betas[i] * np.outer(v, v))
+        beta = 2.0 / sum(x * x for x in v.tolist())
+        out = out @ (np.eye(m) - beta * np.outer(v, v))
     return out
 
 
@@ -52,11 +53,11 @@ def main():
     parser.add_argument("--transpose", action="store_true")
     args = parser.parse_args()
 
-    m, _, _, betas, free = read_factor_raw(args.factor)
+    m, _, _, free = read_factor_raw(args.factor)
     x = read_vector(args.vector)
     if x.shape[0] != m:
         raise SystemExit(f"vector length {x.shape[0]} != factor dimension {m}")
-    g = dense_product(m, free.shape[1], betas, free)
+    g = dense_product(m, free)
     y = g.T @ x if args.transpose else g @ x
     sys.stdout.write(f"{m} 1\n")
     for value in y:

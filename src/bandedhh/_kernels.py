@@ -49,9 +49,8 @@ class BlockedWY:
     the full reflection vectors, unit pivots written out, and every row
     outside that range of those vectors is zero. In a plan it is
     band-compact, b + w rows; in a raw_blocks block it runs to row m - 1.
-    t_block is b x b upper triangular with the betas on its diagonal; a
-    skipped reflection (beta = 0) has an exactly zero row and column, so it
-    acts as the identity. In a plan both arrays are read-only.
+    t_block is b x b upper triangular with the betas on its diagonal. In a
+    plan both arrays are read-only.
     """
 
     v_block: np.ndarray
@@ -66,9 +65,10 @@ class BlockedWY:
 def _block_t(vt: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """T of I - V T V' from V' (b x rows) and the b betas, or a stack of both."""
     # T = (I + diag(beta) striu(V'V))^-1 diag(beta) is T^-1 = diag(1/beta) +
-    # striu(V'V) rearranged so that beta = 0 needs no division. The matrix
-    # inverted is unit upper triangular, so its inverse keeps an exact unit
-    # diagonal and T[j, j] == beta_j bit for bit.
+    # striu(V'V) rearranged to divide by no beta: raw_blocks passes LAPACK's
+    # tau, which is 0 for a column QR skips. The matrix inverted is unit
+    # upper triangular, so its inverse keeps an exact unit diagonal and
+    # T[j, j] == beta_j bit for bit.
     size = betas.shape[-1]
     unit = vt @ np.swapaxes(vt, -1, -2)
     unit *= betas[..., :, None]

@@ -44,7 +44,7 @@ class FlopCounter:
     tail width w costs 4w + 2 flops: the dot product exploits the implicit
     unit pivot (w multiplies, w additions), scaling by beta is 1 multiply,
     and the update is 1 addition for the pivot plus w multiplies and w
-    additions for the tail. Skipped reflections (beta = 0) cost nothing.
+    additions for the tail.
     """
 
     multiplies: int = 0
@@ -85,10 +85,9 @@ def apply_transpose(g: BandedReflectors, y) -> np.ndarray:
 def apply_counted(g: BandedReflectors, x, counter: FlopCounter) -> np.ndarray:
     """Same result as apply, adding the paper's flop count to counter."""
     out = apply(g, x)
-    per_side = 2 * g.bandwidth + 1
-    active = int(np.count_nonzero(g.betas))
-    counter.multiplies += active * per_side
-    counter.additions += active * per_side
+    per_side = g.count * (2 * g.bandwidth + 1)
+    counter.multiplies += per_side
+    counter.additions += per_side
     return out
 
 

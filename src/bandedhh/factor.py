@@ -30,7 +30,6 @@ __all__ = [
     "factor_auto",
     "reconstruct_a",
     "storage_floats",
-    "storage_floats_with_betas",
 ]
 
 
@@ -63,10 +62,14 @@ class Placement(Enum):
 class BandedReflectors:
     """A product of count Householder reflections with staircase support.
 
-    Reflection i acts on rows i .. i + bandwidth only: an implicit unit
-    pivot at row i followed by the bandwidth entries of free_entries[i].
-    betas[i] = 2 / (v_i' v_i), or exactly 0.0 for a skipped reflection,
-    which behaves as the identity. count + bandwidth = ambient_dim always.
+    Reflection i is I - betas[i] v v' on rows i .. i + bandwidth only: v
+    is an implicit unit pivot at row i followed by its tail t, the
+    bandwidth entries of free_entries[i]. The betas are derived, not
+    stored: betas[i] = 2 / (1 + t't) = 2 / (v'v) is the one value that
+    makes the reflection orthogonal, so the free entries alone describe
+    an orthogonal G. Every reflection is active; an all-zero tail gives
+    beta = 2, which flips the sign of row i. count + bandwidth =
+    ambient_dim always.
 
     Both arrays are private read-only copies, so the one WY plan cached on
     the instance (see _kernels) always describes the reflections it holds.
@@ -74,23 +77,22 @@ class BandedReflectors:
 
     ambient_dim: int
     free_entries: np.ndarray
-    betas: np.ndarray
+    betas: np.ndarray = field(init=False)
     _plan: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.free_entries = np.array(self.free_entries, dtype=np.float64)
-        self.betas = np.array(self.betas, dtype=np.float64)
         self.free_entries.flags.writeable = False
-        self.betas.flags.writeable = False
         if self.free_entries.ndim != 2:
             raise ShapeError("free_entries must be a 2-D array")
         k, w = self.free_entries.shape
-        if self.betas.shape != (k,):
-            raise ShapeError(f"expected {k} betas, got {self.betas.shape}")
         if k + w != self.ambient_dim:
             raise ShapeError(
                 f"count + bandwidth must equal ambient_dim: {k} + {w} != {self.ambient_dim}"
             )
+        t = self.free_entries
+        self.betas = 2.0 / (1.0 + np.einsum("ij,ij->i", t, t))
+        self.betas.flags.writeable = False
 
     @property
     def count(self) -> int:
@@ -175,8 +177,11 @@ def factor_tall(a) -> CompactSubspaceFactor:
     largest double. Then a ValueError names the float64 overflow, and no
     non-finite factor is returned. Sign convention:
     v = x + sign(x[0]) ||x|| e1 with sign() read from the sign bit, so a
-    -0.0 pivot counts as negative; a column that is already zero below its
-    pivot gets beta = 0 (the identity).
+    -0.0 pivot counts as negative. A column that is already zero below its
+    pivot, which LAPACK skips (tau = 0), keeps its zero tail and so becomes
+    the sign flip of its row (beta = 2). Later reflections never touch
+    that row, so the flip commutes with them, and that row of the core is
+    negated to match.
 
     Accuracy: with both sides divided by max|a| first, so that neither norm
     underflows, ||reconstruct_a(f) - a||_F / ||a||_F is at most 1e-12 +
@@ -188,7 +193,8 @@ def factor_tall(a) -> CompactSubspaceFactor:
     Results are bit-identical for the same input on the same numpy,
     LAPACK and BLAS build with the same BLAS thread count.
 
-    Square input short-circuits to G = I and B = a, bit-exactly.
+    Square input short-circuits to G = -I (n reflections with empty tails)
+    and B = -a, bit-exactly.
     """
     return _tall(_checked(a, "factor_tall"))
 
@@ -196,12 +202,14 @@ def factor_tall(a) -> CompactSubspaceFactor:
 def _tall(a: np.ndarray) -> CompactSubspaceFactor:
     m, n = a.shape
     if m == n:
-        g = BandedReflectors(m, np.zeros((n, 0)), np.zeros(n))
-        return CompactSubspaceFactor(g, a, Placement.TOP)
+        return CompactSubspaceFactor(BandedReflectors(m, np.zeros((n, 0))), -a, Placement.TOP)
     a, e = _kernels.in_range(a)
     band, x = _band_basis(a)
-    g, h = _banded_qr(band)
+    h, tau = np.linalg.qr(band, mode="raw")
+    del band  # so that band, h and the free entries' copy never coexist
+    g = _reflectors(h)
     core = np.triu(h[:, :n].T) @ x.T
+    core[tau == 0.0] *= -1.0  # the rows whose skipped reflection is a sign flip
     return CompactSubspaceFactor(g, _fits(core, e), Placement.TOP)
 
 
@@ -227,26 +235,26 @@ def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return band, x
 
 
-def _banded_qr(band: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
-    """Reflectors of the raw QR of band, which is zero below row col + m - n.
+def _reflectors(h: np.ndarray) -> BandedReflectors:
+    """The reflectors in h, from np.linalg.qr(band, mode="raw") of a band form.
 
-    Also returns LAPACK's output transposed, h: row i holds column i of R
-    up to the diagonal, then the tail of reflection i. The first m - n
-    tail entries are the free entries; the rest, h[i, i+1+w:], are
-    structural zeros and exact by construction. band comes from input
-    whose columns peak at or below 2^1000, so the QR cannot overflow, and
-    a nonzero below the band can only be a band defect.
+    band is m x n and zero below row col + m - n; h is LAPACK's output
+    transposed, n x m: row i holds column i of R up to the diagonal, then
+    the tail of reflection i. The first m - n tail entries are the free
+    entries; the rest, h[i, i+1+w:], are structural zeros and exact by
+    construction. band comes from input whose columns peak at or below
+    2^1000, so the QR cannot overflow, and a nonzero below the band can
+    only be a band defect.
     """
-    m, n = band.shape
+    n, m = h.shape
     w = m - n
-    h, betas = np.linalg.qr(band, mode="raw")
     if np.triu(h[:, w + 1 :]).any():
         raise RuntimeError("reflection vector leaked outside the band")
     # Free entries of reflection i are h[i, i + 1 : i + 1 + w]: stepping one
     # row and one column per reflection reads them all through one view,
     # whose last entry is h[n - 1, m - 1]. BandedReflectors copies it.
     s0, s1 = h.strides
-    return BandedReflectors(m, as_strided(h[:, 1:], (n, w), (s0 + s1, s1)), betas), h
+    return BandedReflectors(m, as_strided(h[:, 1:], (n, w), (s0 + s1, s1)))
 
 
 def _complement_basis(a: np.ndarray) -> np.ndarray:
@@ -269,7 +277,9 @@ def factor_complement(a) -> CompactSubspaceFactor:
     G is the reflectors of the factor_tall pipeline's band basis and
     banded QR run on U2, m - n reflections of bandwidth n; U2 is not
     validated again, like every intermediate, and its core is never
-    formed. B is the bottom n rows of G' a = a - V W, with k = m - n and
+    formed. A reflection that this QR skips is the sign flip of a row in
+    the zero block, so it needs no change to B. B is the bottom n rows of
+    G' a = a - V W, with k = m - n and
     V = [V1; V2] the m x k unit lower band of G's vectors. The top k rows
     vanish because the complement is orthogonal to range(a), so
     W = V1^-1 a[:k] and B = a[k:] - V2 W: 2 k^2 n + 2 k n^2 + 2/3 k^3
@@ -296,11 +306,10 @@ def factor_complement(a) -> CompactSubspaceFactor:
 def _complement(a: np.ndarray) -> CompactSubspaceFactor:
     m, n = a.shape
     if m == n:
-        g = BandedReflectors(m, np.zeros((0, m)), np.zeros(0))
-        return CompactSubspaceFactor(g, a, Placement.BOTTOM)
+        return CompactSubspaceFactor(BandedReflectors(m, np.zeros((0, m))), a, Placement.BOTTOM)
     k = m - n
     a, e = _kernels.in_range(a)
-    g = _banded_qr(_band_basis(_complement_basis(a))[0])[0]
+    g = _reflectors(np.linalg.qr(_band_basis(_complement_basis(a))[0], mode="raw")[0])
     # B = a[k:] - V2 V1^-1 a[:k], from the vanishing top rows of G' a. V' is
     # freed before the factor copies B. W = V1^-1 a[:k] is not bounded by a,
     # so an overflow there is left to _fits.
@@ -337,8 +346,3 @@ def reconstruct_a(f: CompactSubspaceFactor) -> np.ndarray:
 def storage_floats(g: BandedReflectors) -> int:
     """Floats needed for the reflection vectors alone: count * bandwidth."""
     return g.count * g.bandwidth
-
-
-def storage_floats_with_betas(g: BandedReflectors) -> int:
-    """storage_floats plus one stored beta per reflection."""
-    return g.count * g.bandwidth + g.count

@@ -25,11 +25,8 @@ def reconstruct_g(g) -> np.ndarray:
     m = g.ambient_dim
     out = np.eye(m)
     for i in range(g.free_entries.shape[0]):
-        beta = g.betas[i]
-        if beta == 0.0:
-            continue
         v = implied_vector(g, i)
-        out = out @ (np.eye(m) - beta * np.outer(v, v))
+        out = out @ (np.eye(m) - g.betas[i] * np.outer(v, v))
     return out
 
 

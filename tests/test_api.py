@@ -27,7 +27,6 @@ PUBLIC = {
     "factor_tall",
     "reconstruct_a",
     "storage_floats",
-    "storage_floats_with_betas",
     "BadMagicError",
     "DimensionError",
     "FactorFormatError",
@@ -50,7 +49,7 @@ def test_readme_example_runs():
 
 
 def test_all_is_the_documented_surface():
-    assert len(bandedhh.__all__) == len(PUBLIC) == 26
+    assert len(bandedhh.__all__) == len(PUBLIC) == 25
     assert set(bandedhh.__all__) == PUBLIC
     for name in PUBLIC:
         getattr(bandedhh, name)

@@ -29,11 +29,8 @@ def reference_apply(g, x, forward):
     out = np.array(x, dtype=np.float64)
     w = g.bandwidth
     for i in range(g.count - 1, -1, -1) if forward else range(g.count):
-        beta = g.betas[i]
-        if beta == 0.0:
-            continue
         rows = out[i + 1 : i + 1 + w]
-        t = beta * (out[i] + g.free_entries[i] @ rows)
+        t = g.betas[i] * (out[i] + g.free_entries[i] @ rows)
         out[i] -= t
         rows -= np.multiply.outer(g.free_entries[i], t)
     return out
@@ -63,14 +60,16 @@ def embedded_wy(g, blk):
 
 
 class TestApply:
-    def test_all_skipped_is_identity(self):
-        g = BandedReflectors(5, np.zeros((3, 2)), np.zeros(3))
-        x = np.arange(5.0)
-        assert np.array_equal(apply(g, x), x)
-        assert np.array_equal(apply_transpose(g, x), x)
+    # A zero tail gives beta = 2: the reflection flips the sign of its row.
+    def test_zero_tails_flip_signs(self):
+        g = BandedReflectors(5, np.zeros((3, 2)))
+        x = np.arange(1.0, 6.0)
+        flipped = np.array([-1.0, -2.0, -3.0, 4.0, 5.0])
+        assert np.array_equal(apply(g, x), flipped)
+        assert np.array_equal(apply_transpose(g, x), flipped)
 
     def test_single_reflection_hand_case(self):
-        g = BandedReflectors(2, np.array([[1.0]]), np.array([1.0]))
+        g = BandedReflectors(2, np.array([[1.0]]))
         assert np.array_equal(apply(g, [1.0, 0.0]), [0.0, -1.0])
 
     def test_matches_dense_oracle(self):
@@ -142,11 +141,12 @@ class TestApplyCounted:
         apply_counted(g, np.ones(4), counter)
         assert counter.total == 14  # 4 (m - n) + 2 with m-n=3
 
-    def test_skipped_costs_nothing(self):
-        g = BandedReflectors(5, np.zeros((2, 3)), np.zeros(2))
+    # Every reflection is active, a zero tail's sign flip included.
+    def test_zero_tails_cost_the_same(self):
+        g = BandedReflectors(5, np.zeros((2, 3)))
         counter = FlopCounter()
         apply_counted(g, np.ones(5), counter)
-        assert counter.total == 0
+        assert counter.total == 28  # 2 (4 (m - n) + 2) with n=2, m-n=3
 
     def test_result_identical_to_apply(self):
         g = tall_g(11, 4, 11)
@@ -167,7 +167,7 @@ class TestApplyCounted:
 ], ids=["apply", "apply_transpose", "apply_blocked", "apply_counted",
         "apply_to_matrix", "apply_to_matrix_transpose"])
 def test_product_near_limit(product):
-    out = product(BandedReflectors(2, [[1.0]], [1.0]), np.array([1e308, 1e308]))
+    out = product(BandedReflectors(2, [[1.0]]), np.array([1e308, 1e308]))
     assert np.array_equal(out, [-1e308, -1e308])
 
 
@@ -176,7 +176,7 @@ def test_product_near_limit(product):
 @pytest.mark.parametrize("transpose", [False, True])
 def test_nan_column_beside_huge_column(transpose):
     x = np.array([[np.nan, 1e308], [np.nan, 1e308]])
-    out = apply_to_matrix(BandedReflectors(2, [[1.0]], [1.0]), x, transpose)
+    out = apply_to_matrix(BandedReflectors(2, [[1.0]]), x, transpose)
     assert np.isnan(out[:, 0]).all()
     assert np.array_equal(out[:, 1], [-1e308, -1e308])
 
@@ -276,11 +276,11 @@ class TestApplyBlocked:
             _kernels.plan(g, 2)
 
 
-def skipped_mix_g():
-    # every third reflection skipped; its free entries are left nonzero
-    g = tall_g(120, 45, 40)
-    betas = np.where(np.arange(45) % 3 == 1, 0.0, g.betas)
-    return BandedReflectors(120, g.free_entries, betas)
+def sign_flip_mix_g():
+    # every third tail zeroed, so that reflection is the sign flip of its row
+    free = tall_g(120, 45, 40).free_entries.copy()
+    free[np.arange(45) % 3 == 1] = 0.0
+    return BandedReflectors(120, free)
 
 
 class TestWYEngine:
@@ -292,10 +292,9 @@ class TestWYEngine:
         "several-blocks": lambda: factor_complement(
             np.random.default_rng(43).standard_normal((160, 90))).reflectors,
         "w=0-square": lambda: tall_g(20, 20, 44),
-        "w=0-sign-flips": lambda: BandedReflectors(
-            40, np.zeros((40, 0)), np.where(np.arange(40) % 2 == 0, 2.0, 0.0)),
-        "k=0": lambda: BandedReflectors(9, np.zeros((0, 9)), np.zeros(0)),
-        "skipped-mix": skipped_mix_g,
+        "w=0-sign-flips": lambda: BandedReflectors(40, np.zeros((40, 0))),
+        "k=0": lambda: BandedReflectors(9, np.zeros((0, 9))),
+        "sign-flip-mix": sign_flip_mix_g,
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -313,26 +312,26 @@ class TestWYEngine:
         want = reference_apply(g, x, forward)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_t_diagonal_and_skipped_rows_exact(self):
-        g = skipped_mix_g()
+    def test_t_diagonal_exact(self):
+        g = sign_flip_mix_g()
         for blk in _kernels.plan(g, 32):
             betas = g.betas[blk.start_index : blk.start_index + blk.block_size]
             assert np.array_equal(np.diag(blk.t_block), betas)
-            skipped = betas == 0.0
-            assert not blk.t_block[skipped].any()
-            assert not blk.t_block[:, skipped].any()
 
-    def test_all_skipped_is_bit_exact_identity(self):
-        g = BandedReflectors(80, np.ones((40, 40)), np.zeros(40))
+    # Zero tails make G the sign flip of the first k rows, on every path bit
+    # for bit (x - 2x for nonzero x).
+    def test_zero_tails_are_exact_sign_flips(self):
+        g = BandedReflectors(80, np.zeros((40, 40)))
         rng = np.random.default_rng(46)
         x, xs = rng.standard_normal(80), rng.standard_normal((80, 64))
-        assert np.array_equal(apply(g, x), x)
-        assert np.array_equal(apply_transpose(g, x), x)
-        assert np.array_equal(apply_to_matrix(g, xs), xs)
-        assert np.array_equal(apply_to_matrix(g, xs, transpose=True), xs)
+        flip = np.where(np.arange(80) < 40, -1.0, 1.0)
+        assert np.array_equal(apply(g, x), flip * x)
+        assert np.array_equal(apply_transpose(g, x), flip * x)
+        assert np.array_equal(apply_to_matrix(g, xs), flip[:, None] * xs)
+        assert np.array_equal(apply_to_matrix(g, xs, transpose=True), flip[:, None] * xs)
 
     def test_hand_case_exact_on_every_path(self):
-        g = BandedReflectors(2, np.array([[1.0]]), np.array([1.0]))
+        g = BandedReflectors(2, np.array([[1.0]]))
         assert np.array_equal(apply_transpose(g, [1.0, 0.0]), [0.0, -1.0])
         assert np.array_equal(apply_to_matrix(g, [[1.0], [0.0]]), [[0.0], [-1.0]])
         assert np.array_equal(apply_blocked(g, [1.0, 0.0], 1), [0.0, -1.0])
@@ -376,8 +375,8 @@ class TestWYEngine:
         assert held <= 2 * g.free_entries.nbytes
 
     def test_factor_arrays_are_read_only_copies(self):
-        free, betas = np.ones((3, 2)), np.ones(3)
-        g = BandedReflectors(5, free, betas)
+        free = np.ones((3, 2))
+        g = BandedReflectors(5, free)
         free[0, 0] = 7.0
         assert g.free_entries[0, 0] == 1.0
         with pytest.raises(ValueError):

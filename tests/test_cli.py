@@ -41,8 +41,8 @@ class TestFactorCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "placement: TOP" in out
-        assert "12 floats (+4 betas)" in out
-        assert (tmp_path / "a.bhf").stat().st_size == 280
+        assert "storage: 12 floats\n" in out
+        assert (tmp_path / "a.bhf").stat().st_size == 248
 
     def test_auto_mode_narrow_band(self, tmp_path, capsys):
         write_random(tmp_path / "a.txt", 10, 9, 1)
@@ -50,7 +50,7 @@ class TestFactorCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "placement: BOTTOM" in out
-        assert "9 floats (+1 betas)" in out
+        assert "storage: 9 floats\n" in out
 
     def test_wide_input_rejected(self, tmp_path, capsys):
         write_random(tmp_path / "a.txt", 3, 5, 2)
@@ -90,6 +90,37 @@ class TestFactorCommand:
             recon = reconstruct_a(read_factor(fh))
         if (recon != a).any():
             assert residual > 0.0
+
+    # --self-check applies the README contract, 1e-12 + 4 sqrt(m) 2^-1074 /
+    # max|a|: on subnormal input the float64 core itself carries errors of
+    # a few units of 2^-1074, so 1e-12 relative cannot hold there.
+    @pytest.mark.parametrize("seed", range(5))
+    def test_self_check_subnormal_input(self, tmp_path, capsys, seed):
+        a = np.random.default_rng(seed).standard_normal((12, 5)) * 1e-315
+        write_matrix(a, tmp_path / "a.txt")
+        code = main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf"),
+                     "--self-check"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "self-check: ok" in out
+        residual = float(out.split("residual: ")[1].split()[0])
+        assert 1e-12 < residual <= cli._contract_bound(read_matrix(tmp_path / "a.txt"))
+
+    # A residual above the contract bound still fails at subnormal scale:
+    # a relative error of 1e-6 against a bound of about 3e-8.
+    def test_self_check_fails_above_the_subnormal_bound(self, tmp_path, capsys, monkeypatch):
+        a = np.random.default_rng(0).standard_normal((12, 5)) * 1e-315
+        write_matrix(a, tmp_path / "a.txt")
+        original = cli.reconstruct_a
+        monkeypatch.setattr(cli, "reconstruct_a", lambda f: original(f) * (1 + 1e-6))
+        code = main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf"),
+                     "--self-check"])
+        captured = capsys.readouterr()
+        assert code == 2
+        bound = cli._contract_bound(read_matrix(tmp_path / "a.txt"))
+        assert 2e-8 < bound < 4e-8
+        assert captured.err.startswith("self-check: FAILED (residual 1.0")
+        assert captured.err.endswith(f", tolerance {bound:.3e})\n")
 
     def test_self_check_fails_on_non_finite_residual(self, tmp_path, capsys, monkeypatch):
         write_random(tmp_path / "a.txt", 12, 5, 5)
@@ -270,6 +301,40 @@ class TestApplyCommand:
         y_oracle = read_matrix(tmp_path / "y_oracle.txt")
         assert np.linalg.norm(y - y_oracle) <= 1e-13 * np.linalg.norm(y_oracle)
 
+    # Zero columns over a zero bottom block make QR skip reflections; their
+    # sign flips are derived from the zero tails by the oracle too.
+    def test_dense_oracle_script_on_sign_flips(self, tmp_path, capsys):
+        a = np.random.default_rng(8).standard_normal((8, 3))
+        a[5:] = 0.0
+        a[:, 1] = 0.0
+        write_matrix(a, tmp_path / "a.txt")
+        assert main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf"),
+                     "--mode", "tall"]) == 0
+        with open(tmp_path / "a.bhf", "rb") as fh:
+            assert read_factor(fh).reflectors.betas[1] == 2.0
+        x = write_random(tmp_path / "x.txt", 8, 1, 9)
+        capsys.readouterr()
+        assert main(["apply", str(tmp_path / "a.bhf"), str(tmp_path / "x.txt")]) == 0
+        y = np.array([float(v) for v in capsys.readouterr().out.split()[2:]])
+        result = subprocess.run(
+            [sys.executable, str(ORACLE_SCRIPT), str(tmp_path / "a.bhf"),
+             str(tmp_path / "x.txt")],
+            capture_output=True, text=True, check=True)
+        y_oracle = np.array([float(v) for v in result.stdout.split()[2:]])
+        assert np.linalg.norm(y - y_oracle) <= 1e-13 * np.linalg.norm(x)
+
+    def test_dense_oracle_script_refuses_bhf1(self, tmp_path):
+        self._factor(tmp_path, 8, 3, 8)
+        (tmp_path / "old.bhf").write_bytes(b"BHF1" + (tmp_path / "a.bhf").read_bytes()[4:])
+        write_random(tmp_path / "x.txt", 8, 1, 9)
+        result = subprocess.run(
+            [sys.executable, str(ORACLE_SCRIPT), str(tmp_path / "old.bhf"),
+             str(tmp_path / "x.txt")],
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == f"not a BHF2 factor file: {tmp_path / 'old.bhf'}\n"
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         self._factor(tmp_path, 9, 4, 10)
         capsys.readouterr()
@@ -287,7 +352,7 @@ class TestApplyCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "error: bad magic b'XHF1' at byte 0, expected b'BHF1'\n"
+        assert captured.err == "error: bad magic b'XHF1' at byte 0, expected b'BHF2'\n"
 
     def test_matrix_instead_of_vector(self, tmp_path, capsys):
         self._factor(tmp_path, 9, 4, 13)
@@ -335,7 +400,7 @@ class TestApplyCommand:
     # The exact product of the 2x2 hand reflection fits, so apply prints it.
     @pytest.mark.parametrize("transpose", [[], ["--transpose"]])
     def test_product_near_limit(self, tmp_path, capsys, transpose):
-        g = BandedReflectors(2, [[1.0]], [1.0])
+        g = BandedReflectors(2, [[1.0]])
         with open(tmp_path / "h.bhf", "wb") as fh:
             storage.write_factor(CompactSubspaceFactor(g, [[1.0]], Placement.TOP), fh)
         x = np.array([1e308, 1e308])
@@ -350,7 +415,7 @@ class TestApplyCommand:
         # k + k w + n^2 doubles is more bytes than an index-sized integer holds
         m, n = 2**31, 2**31 - 2
         header = struct.pack("<5I", m, n, 0, n, m - n)
-        (tmp_path / "huge.bhf").write_bytes(b"BHF1" + header + bytes(64))
+        (tmp_path / "huge.bhf").write_bytes(b"BHF2" + header + bytes(64))
         write_random(tmp_path / "x.txt", 5, 1, 16)
         code = main(["apply", str(tmp_path / "huge.bhf"), str(tmp_path / "x.txt")])
         captured = capsys.readouterr()

@@ -7,6 +7,8 @@ import pytest
 
 from bandedhh import (
     BadMagicError,
+    apply,
+    apply_transpose,
     DimensionError,
     TruncatedPayloadError,
     FactorFormatError,
@@ -40,12 +42,17 @@ class TestFactorFormat:
     def test_seven_by_four_length(self):
         f, _ = make_factor(7, 4)
         data = factor_bytes(f)
-        assert len(data) == 280  # 24 + 8 * (4 + 12 + 16)
-        assert write_factor(f, io.BytesIO()) == 280
+        assert len(data) == 248  # 24 + 8 * (12 + 16)
+        assert write_factor(f, io.BytesIO()) == 248
 
     def test_square_length(self):
         f, _ = make_factor(3, 3)
-        assert len(factor_bytes(f)) == 120  # 24 + 8 * (3 + 0 + 9)
+        assert len(factor_bytes(f)) == 96  # 24 + 8 * (0 + 9)
+
+    # n(m - n) floats for G and n^2 for the core: no betas
+    def test_paper_count_on_disk(self):
+        f, _ = make_factor(1000, 200)
+        assert len(factor_bytes(f)) == 1_600_024  # 24 + 8 * (200 * 800 + 200**2)
 
     def test_zero_column_length(self):
         f = factor_tall(np.zeros((4, 0)))
@@ -74,6 +81,14 @@ class TestFactorFormat:
         with pytest.raises(BadMagicError, match="byte 0"):
             read_factor(io.BytesIO(data))
 
+    # BHF2 replaced BHF1, which also stored k betas; BHF1 is not read.
+    def test_previous_format_rejected(self):
+        f, _ = make_factor(7, 4)
+        data = b"BHF1" + factor_bytes(f)[4:]
+        with pytest.raises(BadMagicError,
+                           match=r"^bad magic b'BHF1' at byte 0, expected b'BHF2'$"):
+            read_factor(io.BytesIO(data))
+
     def test_truncated_header(self):
         f, _ = make_factor(7, 4)
         data = factor_bytes(f)[:10]
@@ -85,7 +100,7 @@ class TestFactorFormat:
         data = factor_bytes(f)[:-8]
         with pytest.raises(TruncatedPayloadError) as excinfo:
             read_factor(io.BytesIO(data))
-        assert "expected 256 bytes, got 248" in str(excinfo.value)
+        assert "expected 224 bytes, got 216" in str(excinfo.value)
 
     def test_inconsistent_band(self):
         f, _ = make_factor(7, 4)
@@ -121,7 +136,7 @@ class TestFactorFormat:
 
     @staticmethod
     def oversized(header):
-        return b"BHF1" + struct.pack("<5I", *header) + bytes(64)
+        return b"BHF2" + struct.pack("<5I", *header) + bytes(64)
 
     @pytest.mark.parametrize("header", OVERSIZED)
     def test_oversized_header_is_truncated(self, tmp_path, header):
@@ -176,34 +191,41 @@ class TestFactorFormat:
 
 
 class TestReflectionValidation:
-    # betas start at byte 24, free entries at byte 24 + 8k, row by reflection
+    # free entries start at byte 24, row by reflection
     def corrupted(self, f, offset, value):
         data = bytearray(factor_bytes(f))
         data[offset : offset + 8] = np.float64(value).tobytes()
         return io.BytesIO(bytes(data))
 
-    @pytest.mark.parametrize("beta", [0.5, 2.5])
-    def test_beta_out_of_range(self, beta):
-        f, _ = make_factor(9, 4, seed=4)
-        with pytest.raises(FactorFormatError, match=r"neither 0 nor in \[1, 2\]"):
-            read_factor(self.corrupted(f, 24 + 8 * 2, beta))
-
-    def test_beta_off_by_relative_1e9(self):
+    # Each beta is derived from its tail, so a nudged tail still describes
+    # an orthogonal G: only the tail bound can reject it.
+    def test_nudged_free_entry_stays_orthogonal(self):
         f, _ = make_factor(9, 4, seed=4)
         g = f.reflectors
-        i = int(np.argmin(g.betas))  # the largest t't, so beta is inside (1, 2)
-        with pytest.raises(FactorFormatError, match="not orthogonal"):
-            read_factor(self.corrupted(f, 24 + 8 * i, g.betas[i] * (1 + 1e-9)))
-
-    def test_free_entry_off_by_relative_1e9(self):
-        f, _ = make_factor(9, 4, seed=4)
-        g = f.reflectors
-        k, w = g.free_entries.shape
-        i = int(np.argmin(g.betas))
+        w = g.bandwidth
+        i = int(np.argmin(g.betas))  # the largest t't
         j = int(np.argmax(np.abs(g.free_entries[i])))
-        offset = 24 + 8 * k + 8 * (i * w + j)
-        with pytest.raises(FactorFormatError, match="not orthogonal"):
-            read_factor(self.corrupted(f, offset, g.free_entries[i, j] * (1 + 1e-9)))
+        nudged = g.free_entries[i, j] * (1 - 1e-9)
+        back = read_factor(self.corrupted(f, 24 + 8 * (i * w + j), nudged)).reflectors
+        assert back.free_entries[i, j] == nudged
+        assert back.betas[i] == 2.0 / (1.0 + back.free_entries[i] @ back.free_entries[i])
+        z = np.random.default_rng(4).standard_normal(9)
+        assert np.linalg.norm(apply_transpose(back, apply(back, z)) - z) <= 1e-15 * np.linalg.norm(z)
+
+    # t't = 1 + 2^-20, about 4400 eps above 1 where QR tails of this width
+    # reach at most a few eps, and t't = 1 + 1e400, which overflows to inf.
+    @pytest.mark.parametrize("entry", [2.0**-10, 1e200])
+    def test_tail_longer_than_one_rejected(self, entry):
+        f, _ = make_factor(9, 4, seed=4)
+        w = f.reflectors.bandwidth
+        data = bytearray(factor_bytes(f))
+        tail = np.zeros(w)
+        tail[0] = 1.0
+        tail[1] = entry
+        data[24 + 8 * w : 24 + 16 * w] = tail.tobytes()
+        with pytest.raises(FactorFormatError,
+                           match=r"^tail of reflection 1 is too long: t't = .* exceeds 1 \+ \(2 w \+ 16\) eps$"):
+            read_factor(io.BytesIO(bytes(data)))
 
     @pytest.mark.parametrize(
         "m,n", [(512, 64), (1000, 200), (4096, 512), (1000, 900), (1200, 1000)]
