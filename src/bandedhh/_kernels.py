@@ -8,6 +8,9 @@ T comes from T^-1 = diag(1/beta) + striu(V'V) (Joffrain et al., ACM TOMS
 call and no loop per reflection. G x applies the blocks last to first, each
 as two matrix-vector products against V and one against T; G' x applies
 them first to last with T'. Both work unchanged on one or many columns.
+A sign flip (zero tail, beta 2) runs through the same arithmetic, as
+x - 2 x, so a -0.0 entry comes back +0.0: the product keeps every value,
+and the bits of every nonzero entry, but not the sign of a zero.
 
 A BandedReflectors caches one plan, which a call with another block size
 replaces; its arrays are read-only, so the plan cannot go stale. A plan costs

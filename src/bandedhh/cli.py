@@ -1,4 +1,8 @@
-"""Command line front end: factor, apply, report, and bench subcommands.
+"""Command line front end: factor, apply and report subcommands.
+
+A thin layer over the public library (the factor functions, apply and
+apply_transpose, reconstruct_a, storage_floats and the storage module).
+Timing lives in bench/run.py, not here.
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a numerical
 self-check fails.
@@ -6,19 +10,15 @@ self-check fails.
 
 import argparse
 import functools
-import hashlib
 import io as stdio
 import math
 import sys
-import time
 
 import numpy as np
 
-from . import _kernels, storage
-from .apply import apply, apply_blocked, apply_to_matrix, apply_transpose
+from . import storage
+from .apply import apply, apply_transpose
 from .factor import (
-    BandedReflectors,
-    Placement,
     ShapeError,
     factor_auto,
     factor_complement,
@@ -32,11 +32,6 @@ _MODES = {
     "complement": factor_complement,
     "auto": factor_auto,
 }
-
-
-def _require_shape(command: str, m: int, n: int) -> None:
-    if m < n or n < 0:
-        raise ShapeError(f"{command} requires m >= n >= 0, got m={m} n={n}")
 
 
 def _relative_residual(recon: np.ndarray, a: np.ndarray) -> float:
@@ -118,7 +113,8 @@ def _storage_counts(m: int, n: int) -> tuple[int, int, int]:
 
 
 def _cmd_report(args) -> int:
-    _require_shape("report", args.m, args.n)
+    if args.m < args.n or args.n < 0:
+        raise ShapeError(f"report requires m >= n >= 0, got m={args.m} n={args.n}")
     dense, householder, banded = _storage_counts(args.m, args.n)
 
     def percent(num, den):
@@ -130,78 +126,6 @@ def _cmd_report(args) -> int:
     print(f"banded:      {banded}")
     print(f"banded/dense:       {percent(banded, dense)}")
     print(f"banded/householder: {percent(banded, householder)}")
-    return 0
-
-
-BENCH_COLUMNS = 64
-
-
-def _time_per_call(func, repetitions: int) -> float:
-    func()  # warm-up: the first banded call builds the plan for its block size
-    best = float("inf")
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _time_plan_build(g, repetitions: int) -> float:
-    # Each repetition builds the plan of a fresh copy, whose plan slot is empty.
-    best = float("inf")
-    for _ in range(repetitions):
-        fresh = BandedReflectors(g.ambient_dim, g.free_entries)
-        t0 = time.perf_counter()
-        _kernels.plan(fresh)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _print_timing(label: str, seconds: float, flops: int, per: str = "matvec") -> None:
-    rate = f"{flops / seconds:.3e} flops/s" if seconds > 0 and flops else "n/a"
-    print(f"{label}: {seconds * 1e9:.0f} ns/{per}, {rate}")
-
-
-def _cmd_bench(args) -> int:
-    _require_shape("bench", args.m, args.n)
-    if args.repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    if args.block_size < 1:
-        raise ValueError("block size must be at least 1")
-    rng = np.random.default_rng(args.seed)
-    a = rng.standard_normal((args.m, args.n))
-    f = factor_auto(a)
-    g = f.reflectors
-    buf = stdio.BytesIO()
-    storage.write_factor(f, buf)
-    data = buf.getvalue()
-    print(f"seed: {args.seed}")
-    print(f"placement: {f.placement.name}")
-    print(f"factor bytes: {len(data)} sha256: {hashlib.sha256(data).hexdigest()}")
-    print(f"storage: {storage_floats(g)} floats")
-    k, w = g.count, g.bandwidth
-    banded_flops = 4 * k * w + 2 * k
-    dense_flops = 2 * args.m * args.m
-    print(f"banded matvec flops: {banded_flops}")
-    x = rng.standard_normal(args.m)
-    xs = rng.standard_normal((args.m, BENCH_COLUMNS))
-    reps = args.repetitions
-
-    build = _time_plan_build(g, reps)
-    print(f"plan build (block size {_kernels.BLOCK_SIZE}): {build * 1e9:.0f} ns")
-    dense_g = apply_to_matrix(g, np.eye(args.m))
-    _print_timing("dense matvec", _time_per_call(lambda: dense_g @ x, reps), dense_flops)
-    _print_timing("banded matvec", _time_per_call(lambda: apply(g, x), reps), banded_flops)
-    cols = f"{BENCH_COLUMNS}-column product"
-    _print_timing(f"dense {cols}", _time_per_call(lambda: dense_g @ xs, reps),
-                  dense_flops * BENCH_COLUMNS, "call")
-    _print_timing(f"banded {cols}", _time_per_call(lambda: apply_to_matrix(g, xs), reps),
-                  banded_flops * BENCH_COLUMNS, "call")
-
-    b = args.block_size
-    print(f"blocked: block size {b}, blocks {len(_kernels.plan(g, b))}")
-    _print_timing("blocked matvec", _time_per_call(lambda: apply_blocked(g, x, b), reps),
-                  banded_flops)
     return 0
 
 
@@ -236,14 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("m", type=int)
     p_report.add_argument("n", type=int)
     p_report.set_defaults(func=_cmd_report)
-
-    p_bench = sub.add_parser("bench", help="time matvec paths on a seeded matrix")
-    p_bench.add_argument("m", type=int)
-    p_bench.add_argument("n", type=int)
-    p_bench.add_argument("--repetitions", "--reps", type=int, default=10)
-    p_bench.add_argument("--block-size", type=int, default=8)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

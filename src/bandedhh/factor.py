@@ -68,8 +68,9 @@ class BandedReflectors:
     stored: betas[i] = 2 / (1 + t't) = 2 / (v'v) is the one value that
     makes the reflection orthogonal, so the free entries alone describe
     an orthogonal G. Every reflection is active; an all-zero tail gives
-    beta = 2, which flips the sign of row i. count + bandwidth =
-    ambient_dim always.
+    beta = 2, which flips the sign of row i. A tail whose t't overflows
+    float64 or is NaN has no such beta and raises ValueError. count +
+    bandwidth = ambient_dim always.
 
     Both arrays are private read-only copies, so the one WY plan cached on
     the instance (see _kernels) always describes the reflections it holds.
@@ -91,8 +92,15 @@ class BandedReflectors:
                 f"count + bandwidth must equal ambient_dim: {k} + {w} != {self.ambient_dim}"
             )
         t = self.free_entries
-        self.betas = 2.0 / (1.0 + np.einsum("ij,ij->i", t, t))
+        tt = np.einsum("ij,ij->i", t, t)  # inf, without a warning, on overflow
+        self.betas = 2.0 / (1.0 + tt)
         self.betas.flags.writeable = False
+        if not (self.betas > 0.0).all():  # NaN fails too
+            i = int(np.argmin(self.betas > 0.0))
+            raise ValueError(
+                f"tail of reflection {i} gives no reflection: t't = {float(tt[i])!r}, "
+                "so beta = 2 / (1 + t't) is not > 0"
+            )
 
     @property
     def count(self) -> int:

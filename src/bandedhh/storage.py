@@ -146,17 +146,18 @@ def read_factor(source) -> CompactSubspaceFactor:
     doubles = np.frombuffer(payload, dtype="<f8")
     if doubles.size and not np.isfinite(doubles).all():
         raise FactorFormatError("payload contains non-finite values")
-    g = BandedReflectors(m, doubles[: k * w].reshape(k, w))
-    # beta = 2 / (1 + t't), so t't <= 1 + slack reads beta >= 2 / (2 + slack)
-    slack = (2 * w + 16) * np.finfo(np.float64).eps
-    long = g.betas < 2.0 / (2.0 + slack)
+    tails = doubles[: k * w].reshape(k, w)
+    # Checked before BandedReflectors derives the betas, which rejects an
+    # overflowed t't with a ValueError of its own; t @ t would warn on it.
+    tt = np.einsum("ij,ij->i", tails, tails)
+    long = tt > 1.0 + (2 * w + 16) * np.finfo(np.float64).eps
     if long.any():
         i = int(np.argmax(long))
-        t = g.free_entries[i]
-        tt = float(np.einsum("i,i", t, t))  # t @ t would warn on overflow
         raise FactorFormatError(
-            f"tail of reflection {i} is too long: t't = {tt!r} exceeds 1 + (2 w + 16) eps"
+            f"tail of reflection {i} is too long: t't = {float(tt[i])!r} "
+            "exceeds 1 + (2 w + 16) eps"
         )
+    g = BandedReflectors(m, tails)
     return CompactSubspaceFactor(g, doubles[k * w :].reshape(n, n), placement)
 
 

@@ -1,4 +1,5 @@
 """The public surface: the README example runs and names all of the pinned __all__."""
+import argparse
 import importlib
 import re
 import runpy
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import bandedhh
+from bandedhh import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CODE_LINES = README.parent / "scripts" / "code_lines.py"
@@ -68,6 +70,15 @@ def test_readme_names_every_public_name():
     text = README.read_text()
     missing = [n for n in bandedhh.__all__ if not re.search(rf"\b{re.escape(n)}\b", text)]
     assert missing == []
+
+
+# Every `bandedhh <cmd>` line of the README names a subcommand, and every
+# subcommand has such a line, so the README cannot drift from the parser.
+def test_readme_cli_lines_match_the_parser():
+    documented = set(re.findall(r"^bandedhh (\S+)", README.read_text(), re.MULTILINE))
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert documented == set(sub.choices) == {"factor", "apply", "report"}
 
 
 # scripts/code_lines.py counts neither blank lines, comment-only lines nor

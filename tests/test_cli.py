@@ -186,6 +186,18 @@ class TestFactorCommand:
         assert len(written.splitlines()) == 4
         assert captured.err == f"error: [Errno 13] Permission denied: '{output}'\n"
 
+    # The same text file factors to byte-identical files, in every mode.
+    @pytest.mark.parametrize("mode", ["tall", "complement", "auto"])
+    def test_factor_file_is_deterministic(self, tmp_path, capsys, mode):
+        write_random(tmp_path / "a.txt", 80, 30, 11)
+        outputs = []
+        for name in ("first.bhf", "second.bhf"):
+            assert main(["factor", str(tmp_path / "a.txt"), str(tmp_path / name),
+                         "--mode", mode]) == 0
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 24 + 8 * (30 * 50 + 30 * 30)
+
     def test_non_ascii_input(self, tmp_path, capsys):
         (tmp_path / "a.txt").write_bytes(b"\xef\xbb\xbf1 1\n2\n")
         code = main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf")])
@@ -448,60 +460,25 @@ class TestReportCommand:
                 dense, householder, banded = cli._storage_counts(m, n)
                 assert banded <= householder <= dense
 
-    def test_invalid_shape(self, capsys):
-        assert main(["report", "3", "5"]) == 1
-
-
-class TestBenchCommand:
-    def test_prints_flop_formula(self, capsys):
-        m, n = 24, 6
-        assert main(["bench", str(m), str(n), "--reps", "2", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert f"banded matvec flops: {4 * n * (m - n) + 2 * n}" in out
-
-    def test_block_report(self, capsys):
-        assert main(["bench", "40", "16", "--reps", "2", "--block-size", "8",
-                     "--seed", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "blocked: block size 8, blocks 2" in out
-
-    def test_seeded_determinism(self, capsys):
-        assert main(["bench", "20", "7", "--reps", "1", "--seed", "11"]) == 0
-        first = capsys.readouterr().out
-        assert main(["bench", "20", "7", "--reps", "1", "--seed", "11"]) == 0
-        second = capsys.readouterr().out
-        digest = [ln for ln in first.splitlines() if ln.startswith("factor bytes")]
-        assert digest == [ln for ln in second.splitlines() if ln.startswith("factor bytes")]
-
-    def test_usage_error(self, capsys):
-        assert main(["bench", "4", "9"]) == 1
-
     @pytest.mark.parametrize("m,n", [(4, -1), (4, 9), (-2, -3)])
-    def test_shape_rule_matches_report(self, capsys, m, n):
-        assert main(["bench", str(m), str(n)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: bench requires m >= n >= 0, got m={m} n={n}\n"
+    def test_invalid_shape(self, capsys, m, n):
         assert main(["report", str(m), str(n)]) == 1
-        assert capsys.readouterr().err == captured.err.replace("bench", "report")
-
-    @pytest.mark.parametrize("flag,message", [
-        ("--reps", "repetitions must be at least 1"),
-        ("--block-size", "block size must be at least 1"),
-    ])
-    def test_count_below_one(self, capsys, flag, message):
-        assert main(["bench", "8", "3", flag, "0"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: report requires m >= n >= 0, got m={m} n={n}\n"
 
 
 class TestUsage:
     def test_no_arguments(self):
         assert main([]) == 1
 
-    def test_unknown_command(self):
-        assert main(["frobnicate"]) == 1
+    # bench is no subcommand: timing lives in bench/run.py alone.
+    @pytest.mark.parametrize("argv", [["frobnicate"], ["bench", "4096", "512"]])
+    def test_unknown_command(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid choice: '{argv[0]}'" in captured.err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -56,6 +56,19 @@ class TestBandedReflectors:
         with pytest.raises(TypeError):
             BandedReflectors(5, np.zeros((2, 3)), np.zeros(2))
 
+    # A tail whose t't overflows would derive beta = 2 / inf = 0, the
+    # identity rather than a reflection, and NaN would spread through every
+    # product; t't > 1 on its own still gives an orthogonal reflection.
+    @pytest.mark.parametrize("tail,tt", [([1e200, 1e200], "inf"), ([np.nan, 0.0], "nan")])
+    def test_tail_without_a_beta_rejected(self, tail, tt):
+        with pytest.raises(ValueError, match=(
+                rf"^tail of reflection 1 gives no reflection: t't = {tt}, "
+                r"so beta = 2 / \(1 \+ t't\) is not > 0$")):
+            BandedReflectors(4, [[1.0, 1.0], tail])
+        g = BandedReflectors(3, [[1e150, 1e150]])
+        assert 0.0 < g.betas[0] < 1e-299
+        assert orthogonality_defect(reconstruct_g(g)) < 1e-15
+
     def test_free_entries_must_be_2d(self):
         with pytest.raises(ShapeError, match="2-D"):
             BandedReflectors(5, np.zeros(3))
