@@ -30,10 +30,11 @@ other column as it is, bit for bit. apply_plan shifts its operand so and
 shifts the product back, and the factor pipelines (factor._tall and
 factor._complement) run on a shifted input and shift only the finished
 core back. Below 2^1000 per column, no intermediate of either can
-overflow: each is bounded by about sqrt(m n) 2^1000. Columns never mix
-under G, so the shift is exact except for the entries below 2^-998 of a
-shifted column, which fall subnormal and lose bits (at most 2^-1998 of
-that column's peak). NaN and Inf never trigger it.
+overflow: each is bounded by about sqrt(m n) 2^1000, since every G has
+betas in [1, 2], up to rounding (BandedReflectors' tail rule). Columns
+never mix under G, so the shift is exact except for the entries below
+2^-998 of a shifted column, which fall subnormal and lose bits (at most
+2^-1998 of that column's peak). NaN and Inf never trigger it.
 """
 
 import math

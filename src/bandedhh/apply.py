@@ -107,6 +107,6 @@ def apply_to_matrix(g: BandedReflectors, a, transpose: bool = False) -> np.ndarr
 
 def apply_blocked(g: BandedReflectors, x, block_size: int) -> np.ndarray:
     """Return G x through the cached WY plan with the given block size."""
-    if not isinstance(block_size, (int, np.integer)) or block_size < 1:
+    if type(block_size) is bool or not isinstance(block_size, (int, np.integer)) or block_size < 1:
         raise ShapeError("block size must be an integer of at least 1")
     return _kernels.apply_plan(g, _vector_copy(g, x), False, block_size)

@@ -68,9 +68,17 @@ class BandedReflectors:
     stored: betas[i] = 2 / (1 + t't) = 2 / (v'v) is the one value that
     makes the reflection orthogonal, so the free entries alone describe
     an orthogonal G. Every reflection is active; an all-zero tail gives
-    beta = 2, which flips the sign of row i. A tail whose t't overflows
-    float64 or is NaN has no such beta and raises ValueError. count +
-    bandwidth = ambient_dim always.
+    beta = 2, which flips the sign of row i. count + bandwidth =
+    ambient_dim always.
+
+    The one tail rule: each tail must have t't <= 1 + (2 w + 16) eps, with
+    w the bandwidth, or the constructor raises ValueError naming the first
+    tail that breaks it (a t't that overflows or is NaN breaks it too).
+    The tails of a Householder QR have t't <= 1 up to rounding (at most 3
+    eps above 1 measured at w = 4000, 201 eps at w = 200000), so their
+    betas lie in [1, 2], which the apply engine's overflow analysis
+    assumes (see _kernels). The factor file format (read_factor) uses
+    this same rule.
 
     Both arrays are private read-only copies, so the one WY plan cached on
     the instance (see _kernels) always describes the reflections it holds.
@@ -93,14 +101,15 @@ class BandedReflectors:
             )
         t = self.free_entries
         tt = np.einsum("ij,ij->i", t, t)  # inf, without a warning, on overflow
+        long = ~(tt <= 1.0 + (2 * w + 16) * np.finfo(np.float64).eps)  # NaN too
+        if long.any():
+            i = int(np.argmax(long))
+            raise ValueError(
+                f"tail of reflection {i} is too long: t't = {float(tt[i])!r} "
+                "exceeds 1 + (2 w + 16) eps"
+            )
         self.betas = 2.0 / (1.0 + tt)
         self.betas.flags.writeable = False
-        if not (self.betas > 0.0).all():  # NaN fails too
-            i = int(np.argmin(self.betas > 0.0))
-            raise ValueError(
-                f"tail of reflection {i} gives no reflection: t't = {float(tt[i])!r}, "
-                "so beta = 2 / (1 + t't) is not > 0"
-            )
 
     @property
     def count(self) -> int:
@@ -120,7 +129,9 @@ class CompactSubspaceFactor:
 
     Every array a factor holds is a private copy, core C-ordered here and
     the reflectors' in BandedReflectors, so callers never copy for it and
-    no view keeps an input or a larger buffer alive.
+    no view keeps an input or a larger buffer alive. A NaN or Inf core
+    raises ValueError, so write_factor never writes a record that
+    read_factor refuses.
     """
 
     reflectors: BandedReflectors
@@ -132,6 +143,8 @@ class CompactSubspaceFactor:
         self.placement = Placement(self.placement)
         if self.core.ndim != 2 or self.core.shape[0] != self.core.shape[1]:
             raise ShapeError(f"core must be square, got {self.core.shape}")
+        if not np.isfinite(self.core).all():
+            raise ValueError("core entries must be finite (no NaN/Inf)")
         n = self.core.shape[0]
         m = self.reflectors.ambient_dim
         expected = n if self.placement is Placement.TOP else m - n

@@ -112,14 +112,13 @@ def _read_exact(source, nbytes: int, offset: int, what: str) -> bytes:
 def read_factor(source) -> CompactSubspaceFactor:
     """Parse one factor record from a binary stream.
 
-    Besides the layout, the payload must be finite, and each tail t of w
-    free entries must have t't <= 1 + (2 w + 16) eps. Every beta is derived
-    from its tail, so any factor that reads back describes an orthogonal G.
-    The bound admits the tails a Householder QR writes, t't <= 1 up to
-    rounding (at most 3 eps above 1 measured at w = 4000, 201 eps at
-    w = 200000), whose derived betas lie in [1, 2] as the apply engine's
-    overflow analysis assumes. The payload is only viewed; the factor
-    copies what it keeps, so it holds about the record's size.
+    Besides the layout, the payload must be finite. The tails must obey
+    the one tail rule, which the reader does not check itself: it hands
+    them to BandedReflectors and raises that rule's ValueError as a
+    FactorFormatError with the same message. Every beta is derived from
+    its tail, so any factor that reads back describes an orthogonal G. The
+    payload is only viewed; the factor copies what it keeps, so it holds
+    about the record's size.
     """
     magic = _read_exact(source, len(MAGIC), 0, "magic")
     if magic != MAGIC:
@@ -146,18 +145,10 @@ def read_factor(source) -> CompactSubspaceFactor:
     doubles = np.frombuffer(payload, dtype="<f8")
     if doubles.size and not np.isfinite(doubles).all():
         raise FactorFormatError("payload contains non-finite values")
-    tails = doubles[: k * w].reshape(k, w)
-    # Checked before BandedReflectors derives the betas, which rejects an
-    # overflowed t't with a ValueError of its own; t @ t would warn on it.
-    tt = np.einsum("ij,ij->i", tails, tails)
-    long = tt > 1.0 + (2 * w + 16) * np.finfo(np.float64).eps
-    if long.any():
-        i = int(np.argmax(long))
-        raise FactorFormatError(
-            f"tail of reflection {i} is too long: t't = {float(tt[i])!r} "
-            "exceeds 1 + (2 w + 16) eps"
-        )
-    g = BandedReflectors(m, tails)
+    try:
+        g = BandedReflectors(m, doubles[: k * w].reshape(k, w))
+    except ValueError as exc:  # a tail too long for BandedReflectors' rule
+        raise FactorFormatError(str(exc)) from None
     return CompactSubspaceFactor(g, doubles[k * w :].reshape(n, n), placement)
 
 

@@ -267,7 +267,7 @@ class TestApplyBlocked:
         assert [blk.start_index for blk in chain] == [0, 3, 6, 9]
         assert [blk.block_size for blk in chain] == [3, 3, 3, 1]
 
-    @pytest.mark.parametrize("block_size", [0, 2.0])
+    @pytest.mark.parametrize("block_size", [0, 2.0, True, False])
     def test_invalid_block_size(self, block_size):
         g = tall_g(9, 4, 34)
         for _ in range(2):
@@ -375,10 +375,10 @@ class TestWYEngine:
         assert held <= 2 * g.free_entries.nbytes
 
     def test_factor_arrays_are_read_only_copies(self):
-        free = np.ones((3, 2))
+        free = np.full((3, 2), 0.5)
         g = BandedReflectors(5, free)
         free[0, 0] = 7.0
-        assert g.free_entries[0, 0] == 1.0
+        assert g.free_entries[0, 0] == 0.5
         with pytest.raises(ValueError):
             g.free_entries[0, 0] = 2.0
         with pytest.raises(ValueError):

@@ -51,23 +51,35 @@ class TestBandedReflectors:
     # The betas are derived from the tails, never passed in: 2 / (1 + t't),
     # so a zero tail gives 2, the sign flip of its row.
     def test_betas_derived_from_tails(self):
-        g = BandedReflectors(4, [[0.0, 0.0], [1.0, 1.0]])
-        assert np.array_equal(g.betas, [2.0, 2.0 / 3.0])
+        g = BandedReflectors(4, [[0.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(g.betas, [2.0, 1.0])
         with pytest.raises(TypeError):
             BandedReflectors(5, np.zeros((2, 3)), np.zeros(2))
 
-    # A tail whose t't overflows would derive beta = 2 / inf = 0, the
-    # identity rather than a reflection, and NaN would spread through every
-    # product; t't > 1 on its own still gives an orthogonal reflection.
-    @pytest.mark.parametrize("tail,tt", [([1e200, 1e200], "inf"), ([np.nan, 0.0], "nan")])
-    def test_tail_without_a_beta_rejected(self, tail, tt):
-        with pytest.raises(ValueError, match=(
-                rf"^tail of reflection 1 gives no reflection: t't = {tt}, "
-                r"so beta = 2 / \(1 \+ t't\) is not > 0$")):
-            BandedReflectors(4, [[1.0, 1.0], tail])
-        g = BandedReflectors(3, [[1e150, 1e150]])
-        assert 0.0 < g.betas[0] < 1e-299
-        assert orthogonality_defect(reconstruct_g(g)) < 1e-15
+    # The one tail rule: t't <= 1 + (2 w + 16) eps. A longer tail would give
+    # a beta below 1, outside the apply engine's overflow analysis (t't =
+    # 2e300 gives beta 1e-300, and G x overflows where |G x| does not); an
+    # overflowed or NaN t't has no beta at all.
+    @pytest.mark.parametrize("tail,tt", [
+        ([1e150, 1e150], "1.9999999999999998e+300"),
+        ([1.0, 1.0], "2.0"),
+        ([1e200, 1e200], "inf"),
+        ([np.nan, 0.0], "nan"),
+    ])
+    def test_long_tail_rejected(self, tail, tt):
+        message = f"tail of reflection 1 is too long: t't = {tt} exceeds 1 + (2 w + 16) eps"
+        with pytest.raises(ValueError) as info:
+            BandedReflectors(4, [[0.5, 0.5], tail])
+        assert str(info.value) == message
+
+    # w = 1 puts the bound at 1 + 18 eps: (1 + 8 eps)^2 rounds to 1 + 16 eps,
+    # just under it, and (1 + 10 eps)^2 to 1 + 20 eps, just over it.
+    def test_tail_rule_boundary(self):
+        eps = np.finfo(np.float64).eps
+        g = BandedReflectors(2, [[1.0 + 8 * eps]])
+        assert g.betas[0] == 2.0 / (2.0 + 16 * eps)
+        with pytest.raises(ValueError, match=r"^tail of reflection 0 is too long: t't = 1\.0000000000000044 "):
+            BandedReflectors(2, [[1.0 + 10 * eps]])
 
     def test_free_entries_must_be_2d(self):
         with pytest.raises(ShapeError, match="2-D"):
@@ -103,6 +115,13 @@ class TestCompactSubspaceFactor:
         with pytest.raises(ValueError, match="is not a valid Placement"):
             CompactSubspaceFactor(f.reflectors, f.core, placement)
 
+    # write_factor would write a record that read_factor refuses.
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_non_finite_core_rejected(self, entry):
+        g = BandedReflectors(2, [[0.5]])
+        with pytest.raises(ValueError, match=r"^core entries must be finite \(no NaN/Inf\)$"):
+            CompactSubspaceFactor(g, [[entry]], Placement.TOP)
+
     def test_placement_needs_matching_count(self):
         f = factor_tall(random_matrix(9, 4, 0))
         with pytest.raises(ShapeError,
@@ -127,9 +146,9 @@ class TestCompactSubspaceFactor:
         assert np.array_equal(f.core, expected)
 
     def test_implied_vector_pattern(self):
-        g = BandedReflectors(5, np.arange(6.0).reshape(2, 3) + 1.0)
+        g = BandedReflectors(5, [[0.5, 0.25, 0.125], [0.5, 0.25, -0.75]])
         v1 = implied_vector(g, 1)
-        assert np.array_equal(v1, [0.0, 1.0, 4.0, 5.0, 6.0])
+        assert np.array_equal(v1, [0.0, 1.0, 0.5, 0.25, -0.75])
 
 
 class TestFactorTall:

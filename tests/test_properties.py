@@ -444,6 +444,42 @@ def test_factor_file_holds_the_paper_count(params):
             read_factor(io.BytesIO(bytes(long)))
 
 
+# Tails scaled to t't = reach (1 + (2 w + 16) eps), up to the tail rule's
+# bound, with a core of small, unit or huge magnitude. Every factor that
+# constructs is written by write_factor and read back byte for byte, so no
+# record that write_factor writes is refused for its tails or its core. A
+# tail drawn within a few ulps of the bound may round past it; only those
+# may be refused.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stored_factors(), st.sampled_from([1.0, 1.0 - 2.0**-50]) | st.floats(0.0, 1.0),
+       st.sampled_from([1e-300, 1.0, 1e300]))
+@example((6, 2, Placement.TOP, 5), 1.0 - 2.0**-50, 1.0)
+@example((40, 10, Placement.BOTTOM, 6), 1.0, 1e300)
+def test_every_factor_that_constructs_reads_back(params, reach, scale):
+    m, n, placement, seed = params
+    rng = np.random.default_rng(seed)
+    k = n if placement is Placement.TOP else m - n
+    w = m - k
+    t = rng.standard_normal((k, w))
+    norms = np.sqrt(np.einsum("ij,ij->i", t, t))
+    length = np.sqrt(reach * (1.0 + (2 * w + 16) * EPS))
+    t *= np.divide(length, norms, out=np.zeros(k), where=norms > 0)[:, None]
+    try:
+        g = BandedReflectors(m, t)
+    except ValueError as exc:
+        assert "is too long" in str(exc) and reach > 1.0 - 1e-12
+        return
+    f = CompactSubspaceFactor(g, rng.standard_normal((n, n)) * scale, placement)
+    buf = io.BytesIO()
+    write_factor(f, buf)
+    data = buf.getvalue()
+    back = read_factor(io.BytesIO(data))
+    assert _factor_bits(back) == _factor_bits(f)
+    again = io.BytesIO()
+    write_factor(back, again)
+    assert again.getvalue() == data
+
+
 # Input that makes LAPACK skip reflections: zero columns over a zero bottom
 # n x n block, whose band basis is the input itself, so each zero column
 # stays zero through the banded QR (tau = 0). Each skip is stored as the
