@@ -45,7 +45,7 @@ import numpy as np
 BLOCK_SIZE = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockedWY:
     """Reflections start_index .. start_index + b - 1 as I - V T V'.
 
@@ -165,13 +165,13 @@ def apply_blocks(blocks, x: np.ndarray, transpose: bool) -> np.ndarray:
     return x
 
 
-def in_range(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def in_range(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x brought into range, and the shift: (x 2^-e, e), one e per column.
 
     A column whose peak exceeds 2^1000 is shifted to just under it; every
-    other column gets e = 0 and keeps its bits. A vector is one column. The
-    shifted x is written to out (a new array when out is None); when no
-    column is shifted, x itself is returned.
+    other column gets e = 0 and keeps its bits. A vector is one column.
+    When no column is shifted, x itself is returned; otherwise the shifted
+    x is a new array and x is left as it is.
     """
     # The per-column pass costs ~3x one flat max/min pass, so it runs only
     # when the flat peak is above 2^1000 or not a number at all.
@@ -179,12 +179,16 @@ def in_range(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, 
         return x, np.zeros(x.shape[1:], dtype=int)
     peak = np.maximum(x.max(axis=0, initial=0.0), -x.min(axis=0, initial=0.0))
     e = np.where((2.0**1000 < peak) & (peak < np.inf), np.frexp(peak)[1] - 1000, 0)
-    return (np.ldexp(x, -e, out=out) if e.any() else x), e
+    return (np.ldexp(x, -e) if e.any() else x), e
 
 
 def apply_plan(g, x: np.ndarray, transpose: bool, block_size: int = BLOCK_SIZE) -> np.ndarray:
-    """Overwrite x (a vector or a matrix of columns) with G x, or G' x."""
+    """G x, or G' x, for x a vector or a matrix of columns that the caller owns.
+
+    The product is computed in place, in x itself or, when in_range shifts
+    a column, in the shifted copy, and that array is returned.
+    """
     blocks = plan(g, block_size)
-    x, e = in_range(x, out=x)
+    x, e = in_range(x)
     apply_blocks(blocks if transpose else reversed(blocks), x, transpose)
     return np.ldexp(x, e, out=x) if e.any() else x

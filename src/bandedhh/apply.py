@@ -12,6 +12,11 @@ bandwidth w, a fraction of the 2 m^2 of a dense multiply. apply_counted
 tallies that per-reflection convention, not the BLAS operations the WY
 engine actually executes.
 
+Every product takes its operand through one intake, _operand: a private
+C-ordered float64 copy, so the engine can overwrite it, of a vector (ndim
+1) or a matrix of columns (ndim 2) with ambient_dim rows. Anything else
+raises ShapeError, and complex input raises ValueError.
+
 Non-finite input is not rejected: NaN and Inf propagate through every
 product by IEEE rules, and nothing raises. The engine's one pass for the
 operand's peak (see _kernels) never scales on them, and the CLI rejects
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .factor import BandedReflectors, ShapeError
+from .factor import BandedReflectors, ShapeError, _floats
 
 __all__ = [
     "FlopCounter",
@@ -55,11 +60,11 @@ class FlopCounter:
         return self.multiplies + self.additions
 
 
-def _vector_copy(g: BandedReflectors, x) -> np.ndarray:
-    out = np.array(x, dtype=np.float64)
-    if out.ndim != 1 or out.shape[0] != g.ambient_dim:
+def _operand(g: BandedReflectors, x, ndim: int) -> np.ndarray:
+    out = _floats(x, copy=True)
+    if out.ndim != ndim or out.shape[0] != g.ambient_dim:
         raise ShapeError(
-            f"expected a vector of length {g.ambient_dim}, got shape {out.shape}"
+            f"expected a {ndim}-D operand with {g.ambient_dim} rows, got shape {out.shape}"
         )
     return out
 
@@ -70,7 +75,7 @@ def apply(g: BandedReflectors, x) -> np.ndarray:
     NaN and Inf in the input propagate to the output by IEEE rules; they
     are not rejected (see the module docstring).
     """
-    return _kernels.apply_plan(g, _vector_copy(g, x), transpose=False)
+    return _kernels.apply_plan(g, _operand(g, x, 1), transpose=False)
 
 
 def apply_transpose(g: BandedReflectors, y) -> np.ndarray:
@@ -79,7 +84,7 @@ def apply_transpose(g: BandedReflectors, y) -> np.ndarray:
     NaN and Inf in the input propagate to the output by IEEE rules; they
     are not rejected (see the module docstring).
     """
-    return _kernels.apply_plan(g, _vector_copy(g, y), transpose=True)
+    return _kernels.apply_plan(g, _operand(g, y, 1), transpose=True)
 
 
 def apply_counted(g: BandedReflectors, x, counter: FlopCounter) -> np.ndarray:
@@ -97,16 +102,11 @@ def apply_to_matrix(g: BandedReflectors, a, transpose: bool = False) -> np.ndarr
     NaN and Inf in the input propagate to the output by IEEE rules; they
     are not rejected (see the module docstring).
     """
-    out = np.array(a, dtype=np.float64, order="C")
-    if out.ndim != 2 or out.shape[0] != g.ambient_dim:
-        raise ShapeError(
-            f"expected {g.ambient_dim} rows, got shape {out.shape}"
-        )
-    return _kernels.apply_plan(g, out, transpose)
+    return _kernels.apply_plan(g, _operand(g, a, 2), transpose)
 
 
 def apply_blocked(g: BandedReflectors, x, block_size: int) -> np.ndarray:
     """Return G x through the cached WY plan with the given block size."""
     if type(block_size) is bool or not isinstance(block_size, (int, np.integer)) or block_size < 1:
         raise ShapeError("block size must be an integer of at least 1")
-    return _kernels.apply_plan(g, _vector_copy(g, x), False, block_size)
+    return _kernels.apply_plan(g, _operand(g, x, 1), False, block_size)

@@ -88,6 +88,8 @@ def _cmd_factor(args) -> int:
 def _cmd_apply(args) -> int:
     with open(args.factor, "rb") as fh:
         f = storage.read_factor(fh)
+        if fh.read(1):
+            raise storage.FactorFormatError(f"trailing data at byte {fh.tell() - 1}, where the record ends")
     vec = storage.read_matrix(args.vector)
     if vec.shape[1] != 1:
         raise ShapeError(f"expected a column vector, got {vec.shape[0]} x {vec.shape[1]}")

@@ -37,13 +37,24 @@ class ShapeError(ValueError):
     """Matrix dimensions do not satisfy an operation's requirements."""
 
 
+def _floats(x, copy: bool) -> np.ndarray:
+    """x as a C-ordered float64 array, a new one when copy is set.
+
+    Every intake converts through here. Complex x raises ValueError, where
+    the conversion would drop the imaginary part with only a warning.
+    """
+    if np.iscomplexobj(x):
+        raise ValueError("expected real values, got complex")
+    return (np.array if copy else np.asarray)(x, dtype=np.float64, order="C")
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate a as a 2-D float64 C-ordered matrix and return it.
 
-    Rejects anything that is not two-dimensional and any NaN/Inf entry;
-    all downstream invariants assume finite arithmetic.
+    Rejects complex input, anything that is not two-dimensional and any
+    NaN/Inf entry; all downstream invariants assume finite arithmetic.
     """
-    out = np.ascontiguousarray(a, dtype=np.float64)
+    out = _floats(a, copy=False)
     if out.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={out.ndim}")
     if out.size and not np.isfinite(out).all():
@@ -58,7 +69,7 @@ class Placement(Enum):
     BOTTOM = 1
 
 
-@dataclass
+@dataclass(eq=False)
 class BandedReflectors:
     """A product of count Householder reflections with staircase support.
 
@@ -82,15 +93,18 @@ class BandedReflectors:
 
     Both arrays are private read-only copies, so the one WY plan cached on
     the instance (see _kernels) always describes the reflections it holds.
+    Complex free entries raise ValueError. Instances compare and hash by
+    identity, as CompactSubspaceFactor's do: an equality over the arrays
+    would have no single truth value.
     """
 
     ambient_dim: int
     free_entries: np.ndarray
     betas: np.ndarray = field(init=False)
-    _plan: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
+    _plan: tuple = field(default=(None, ()), init=False, repr=False)
 
     def __post_init__(self):
-        self.free_entries = np.array(self.free_entries, dtype=np.float64)
+        self.free_entries = _floats(self.free_entries, copy=True)
         self.free_entries.flags.writeable = False
         if self.free_entries.ndim != 2:
             raise ShapeError("free_entries must be a 2-D array")
@@ -120,7 +134,7 @@ class BandedReflectors:
         return self.free_entries.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class CompactSubspaceFactor:
     """Reflectors plus a square core reconstructing the original matrix.
 
@@ -129,9 +143,9 @@ class CompactSubspaceFactor:
 
     Every array a factor holds is a private copy, core C-ordered here and
     the reflectors' in BandedReflectors, so callers never copy for it and
-    no view keeps an input or a larger buffer alive. A NaN or Inf core
-    raises ValueError, so write_factor never writes a record that
-    read_factor refuses.
+    no view keeps an input or a larger buffer alive. A complex core raises
+    ValueError, and so does a NaN or Inf one, so write_factor never writes
+    a record that read_factor refuses.
     """
 
     reflectors: BandedReflectors
@@ -139,7 +153,7 @@ class CompactSubspaceFactor:
     placement: Placement
 
     def __post_init__(self):
-        self.core = np.array(self.core, dtype=np.float64, order="C")
+        self.core = _floats(self.core, copy=True)
         self.placement = Placement(self.placement)
         if self.core.ndim != 2 or self.core.shape[0] != self.core.shape[1]:
             raise ShapeError(f"core must be square, got {self.core.shape}")

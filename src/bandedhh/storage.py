@@ -152,14 +152,10 @@ def read_factor(source) -> CompactSubspaceFactor:
     return CompactSubspaceFactor(g, doubles[k * w :].reshape(n, n), placement)
 
 
-def _rows_per_chunk(n: int) -> int:
-    return max(1, _CHUNK_VALUES // max(n, 1))
-
-
 def _matrix_text(a: np.ndarray) -> str:
     m, n = a.shape
     row_format = " ".join(["%.17g"] * n)
-    step = _rows_per_chunk(n)
+    step = max(1, _CHUNK_VALUES // max(n, 1))
     parts = [f"{m} {n}"]
     for s in range(0, m, step):
         rows = a[s : s + step]

@@ -1,14 +1,23 @@
-"""The public surface: the README example runs and names all of the pinned __all__."""
+"""The public surface: the README example runs and names all of the pinned __all__;
+every entry refuses complex input, and no array holder compares its arrays."""
 import argparse
+import dataclasses
 import importlib
+import inspect
+import io
+import pkgutil
 import re
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import bandedhh
 from bandedhh import cli
+from bandedhh._kernels import BlockedWY
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CODE_LINES = README.parent / "scripts" / "code_lines.py"
@@ -111,3 +120,59 @@ def test_code_lines_script(tmp_path):
     assert [name for name, _ in rows[:-1]] == sorted(p.name for p in package.glob("*.py"))
     assert rows[-1][0] == "total"
     assert int(rows[-1][1]) == sum(int(count) for _, count in rows[:-1])
+
+
+# A generated __eq__ over ndarray fields has no single truth value: ==, `in`
+# and list.index raise ValueError on any instance with more than one entry,
+# and the type is unhashable. Every such class compares by identity.
+@pytest.mark.parametrize("make", [
+    lambda: bandedhh.BandedReflectors(3, [[0.5], [0.25]]),
+    lambda: bandedhh.CompactSubspaceFactor(
+        bandedhh.BandedReflectors(3, [[0.5], [0.25]]), np.eye(2), bandedhh.Placement.TOP),
+    lambda: BlockedWY(np.ones((3, 2)), np.eye(2), 0),
+], ids=["BandedReflectors", "CompactSubspaceFactor", "BlockedWY"])
+def test_array_holders_compare_by_identity(make):
+    x, y = make(), make()
+    assert (x == y) is False
+    assert (x == x) is True
+    assert x not in [y]
+    assert [y, x].index(x) == 1
+    assert hash(x) == hash(x)
+    assert len({x, y}) == 2
+
+
+def test_no_dataclass_compares_arrays():
+    modules = [importlib.import_module(f"bandedhh.{info.name}")
+               for info in pkgutil.iter_modules(bandedhh.__path__) if info.name != "__main__"]
+    classes = [cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+               if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__]
+    holders = [cls for cls in classes
+               if any(f.type is np.ndarray for f in dataclasses.fields(cls))]
+    assert {cls.__name__ for cls in holders} == {
+        "BandedReflectors", "CompactSubspaceFactor", "BlockedWY"}
+    assert [cls.__name__ for cls in holders if "__eq__" in vars(cls)] == []
+
+
+# Every public entry refuses complex input, where a float64 conversion would
+# drop the imaginary part with only a ComplexWarning.
+G = bandedhh.BandedReflectors(4, np.zeros((2, 2)))
+COMPLEX_ENTRIES = {
+    "factor_tall": lambda: bandedhh.factor_tall(np.ones((6, 3)) * 1j),
+    "factor_complement": lambda: bandedhh.factor_complement(np.ones((6, 5)) * 1j),
+    "factor_auto": lambda: bandedhh.factor_auto(np.ones((3, 2)) * 1j),
+    "write_matrix": lambda: bandedhh.write_matrix(np.ones((2, 2)) * 1j, io.StringIO()),
+    "apply": lambda: bandedhh.apply(G, np.ones(4) * 1j),
+    "apply_transpose": lambda: bandedhh.apply_transpose(G, [1j, 0, 0, 0]),
+    "apply_counted": lambda: bandedhh.apply_counted(G, np.ones(4) * 1j, bandedhh.FlopCounter()),
+    "apply_to_matrix": lambda: bandedhh.apply_to_matrix(G, np.ones((4, 2)) * 1j),
+    "apply_blocked": lambda: bandedhh.apply_blocked(G, np.ones(4) * 1j, 1),
+    "BandedReflectors": lambda: bandedhh.BandedReflectors(4, np.zeros((2, 2)) * 1j),
+    "CompactSubspaceFactor": lambda: bandedhh.CompactSubspaceFactor(
+        G, np.eye(2) * (1 + 0j), bandedhh.Placement.TOP),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_ENTRIES))
+def test_complex_input_rejected(name):
+    with pytest.raises(ValueError, match=r"^expected real values, got complex$"):
+        COMPLEX_ENTRIES[name]()

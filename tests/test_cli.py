@@ -423,6 +423,23 @@ class TestApplyCommand:
         expected = apply_transpose(g, x) if transpose else apply(g, x)
         assert np.array_equal(read_matrix(tmp_path / "y.txt")[:, 0], expected)
 
+    # A factor file holds exactly one record; junk or a second record after
+    # it is refused, naming the byte where the record ends.
+    @pytest.mark.parametrize("trailer", ["junk", "second record"])
+    def test_trailing_bytes_rejected(self, tmp_path, capsys, trailer):
+        self._factor(tmp_path, 9, 4, 6)
+        record = (tmp_path / "a.bhf").read_bytes()
+        assert len(record) == 24 + 8 * (4 * 5 + 4 * 4)
+        extra = bytes(range(1, 13)) if trailer == "junk" else record
+        (tmp_path / "a.bhf").write_bytes(record + extra)
+        write_random(tmp_path / "x.txt", 9, 1, 7)
+        capsys.readouterr()
+        code = main(["apply", str(tmp_path / "a.bhf"), str(tmp_path / "x.txt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: trailing data at byte 312, where the record ends\n"
+
     def test_header_declaring_unreadable_payload(self, tmp_path, capsys):
         # k + k w + n^2 doubles is more bytes than an index-sized integer holds
         m, n = 2**31, 2**31 - 2
