@@ -71,13 +71,12 @@ def _block_t(vt: np.ndarray, betas: np.ndarray) -> np.ndarray:
     # T = (I + diag(beta) striu(V'V))^-1 diag(beta) is T^-1 = diag(1/beta) +
     # striu(V'V) rearranged to divide by no beta: raw_blocks passes LAPACK's
     # tau, which is 0 for a column QR skips. The matrix inverted is unit
-    # upper triangular, so its inverse keeps an exact unit diagonal and
-    # T[j, j] == beta_j bit for bit.
-    size = betas.shape[-1]
-    unit = vt @ np.swapaxes(vt, -1, -2)
+    # upper triangular (np.triu, then the diagonal set to 1), so its inverse
+    # keeps an exact unit diagonal and T[j, j] == beta_j bit for bit.
+    unit = np.triu(vt @ np.swapaxes(vt, -1, -2), 1)
     unit *= betas[..., :, None]
-    unit *= np.triu(np.ones((size, size)), 1)
-    unit += np.eye(size)
+    diag = np.arange(betas.shape[-1])
+    unit[..., diag, diag] = 1.0
     return np.linalg.inv(unit) * betas[..., None, :]
 
 

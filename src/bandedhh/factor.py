@@ -12,6 +12,7 @@ bandwidth n, again n(m - n) floats. factor_auto picks whichever side is
 cheaper.
 """
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -79,8 +80,9 @@ class BandedReflectors:
     stored: betas[i] = 2 / (1 + t't) = 2 / (v'v) is the one value that
     makes the reflection orthogonal, so the free entries alone describe
     an orthogonal G. Every reflection is active; an all-zero tail gives
-    beta = 2, which flips the sign of row i. count + bandwidth =
-    ambient_dim always.
+    beta = 2, which flips the sign of row i. ambient_dim is an integer:
+    it is stored as int, and a value without __index__ (2.0, "2") raises
+    TypeError. count + bandwidth = ambient_dim always.
 
     The one tail rule: each tail must have t't <= 1 + (2 w + 16) eps, with
     w the bandwidth, or the constructor raises ValueError naming the first
@@ -104,6 +106,7 @@ class BandedReflectors:
     _plan: tuple = field(default=(None, ()), init=False, repr=False)
 
     def __post_init__(self):
+        self.ambient_dim = operator.index(self.ambient_dim)
         self.free_entries = _floats(self.free_entries, copy=True)
         self.free_entries.flags.writeable = False
         if self.free_entries.ndim != 2:

@@ -20,14 +20,15 @@ separated by single spaces. The writer emits 17 significant digits,
 which round-trips every finite double exactly; each value is written as
 "%.17g", byte for byte what format(x, ".17g") writes.
 
-The reader splits lines on "\n" and tokens on any whitespace, so CRLF line
-ends are accepted. Each token must parse as Python float() parses it
-("1_0" and "1e-400" are accepted and read as 10.0 and 0.0); a token that
-parses to NaN or +-Inf, "1e400" included, is rejected. A well-formed file
-is parsed by one np.loadtxt call (comments=None) over its m body lines,
-at about 0.55 us per 17-digit value on a 2-core x86-64 VM. Every other
-file goes through a line by line scan, which decides what is accepted and
-raises MatrixFormatError for the first defect in file order.
+The reader splits lines on "\n", from a path as from a stream, and tokens
+on any whitespace, so CRLF line ends are accepted and a lone "\r" is a
+token separator, not a line end. Each token must parse as Python float()
+parses it ("1_0" and "1e-400" are accepted and read as 10.0 and 0.0); a
+token that parses to NaN or +-Inf, "1e400" included, is rejected. A
+well-formed file is parsed by one np.loadtxt call (comments=None) over its
+m body lines, at about 0.55 us per 17-digit value on a 2-core x86-64 VM.
+Every other file goes through a line by line scan, which decides what is
+accepted and raises MatrixFormatError for the first defect in file order.
 
 The writer works on whole rows, about _CHUNK_VALUES values per "%"
 template, so the per-value Python objects alive at once stay few whatever
@@ -240,7 +241,7 @@ def read_matrix(src) -> np.ndarray:
     if hasattr(src, "read"):
         text = src.read()
     else:
-        with open(src, "r", encoding="ascii") as fh:
+        with open(src, "r", encoding="ascii", newline="") as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as exc:

@@ -240,6 +240,40 @@ class TestBlockedWY:
         assert np.linalg.norm(wy - product) <= 1e-13
 
 
+# Reference T: the same formula with an explicit mask and identity.
+def masked_block_t(vt, betas):
+    size = betas.shape[-1]
+    unit = vt @ np.swapaxes(vt, -1, -2)
+    unit *= betas[..., :, None]
+    unit *= np.triu(np.ones((size, size)), 1)
+    unit += np.eye(size)
+    return np.linalg.inv(unit) * betas[..., None, :]
+
+
+class TestBlockT:
+    @pytest.mark.parametrize("size", [1, 3, 8])
+    def test_stacked_matches_masked_formula(self, size):
+        g = tall_g(40, 24, 31)
+        count = g.count // size
+        vt = _kernels.band_vt(
+            g.free_entries[: count * size].reshape(count, size, g.bandwidth))
+        betas = g.betas[: count * size].reshape(count, size)
+        t = _kernels._block_t(vt, betas)
+        assert t.tobytes() == masked_block_t(vt, betas).tobytes()
+
+    # A raw block: tau of a LAPACK QR, with zeros where a column is skipped.
+    def test_single_with_zero_betas_matches_masked_formula(self):
+        h, tau = np.linalg.qr(np.random.default_rng(32).standard_normal((30, 12)), mode="raw")
+        tau[[0, 5, 11]] = 0.0
+        for blk in _kernels.raw_blocks(h, tau):
+            s, e = blk.start_index, blk.start_index + blk.block_size
+            vt = np.ascontiguousarray(blk.v_block.T)
+            expected = masked_block_t(vt, tau[s:e])
+            assert _kernels._block_t(vt, tau[s:e]).tobytes() == expected.tobytes()
+            assert blk.t_block.tobytes() == expected.tobytes()
+            assert np.array_equal(np.diag(blk.t_block), tau[s:e])
+
+
 class TestApplyBlocked:
     def test_block_size_one_matches_apply(self):
         g = tall_g(14, 6, 27)

@@ -166,6 +166,44 @@ class TestFactorCommand:
         assert "self-check: ok" in capsys.readouterr().out
         assert len(reads) == 1
 
+    # The file re-read must be the record written, so the residual printed
+    # is the file's residual: one reconstruction serves both.
+    def test_self_check_reconstructs_once(self, tmp_path, capsys, monkeypatch):
+        write_random(tmp_path / "a.txt", 12, 5, 3)
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return reconstruct_a(f)
+
+        monkeypatch.setattr(cli, "reconstruct_a", counting)
+        code = main(["factor", str(tmp_path / "a.txt"), str(tmp_path / "a.bhf"),
+                     "--self-check"])
+        assert code == 0
+        assert "self-check: ok" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    # A valid record that is not the one written: one core double one ulp off.
+    def test_self_check_fails_on_a_valid_file_that_differs(self, tmp_path, capsys, monkeypatch):
+        write_random(tmp_path / "a.txt", 12, 5, 3)
+        output = tmp_path / "a.bhf"
+
+        def nudging_open(path, mode="r", *args, **kwargs):
+            if mode == "rb" and str(path) == str(output):
+                data = bytearray(output.read_bytes())
+                (last,) = struct.unpack("<d", data[-8:])
+                data[-8:] = struct.pack("<d", np.nextafter(last, np.inf))
+                assert isinstance(read_factor(io.BytesIO(data)), CompactSubspaceFactor)
+                return io.BytesIO(data)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", nudging_open, raising=False)
+        code = main(["factor", str(tmp_path / "a.txt"), str(output), "--self-check"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "self-check" not in captured.out
+        assert captured.err == "self-check: FAILED (re-serialization differs)\n"
+
     # The write succeeds and the re-read fails, as for an output file of mode 0200.
     def test_self_check_reread_error(self, tmp_path, capsys, monkeypatch):
         write_random(tmp_path / "a.txt", 12, 5, 3)

@@ -85,6 +85,19 @@ class TestBandedReflectors:
         with pytest.raises(ShapeError, match="2-D"):
             BandedReflectors(5, np.zeros(3))
 
+    # ambient_dim goes through operator.index: a float or a string raises
+    # TypeError at construction, not later in write_factor.
+    @pytest.mark.parametrize("dim", [2.0, 2.5, "2"])
+    def test_ambient_dim_must_be_an_integer(self, dim):
+        with pytest.raises(TypeError):
+            BandedReflectors(dim, [[0.0]])
+
+    @pytest.mark.parametrize("dim,free", [(np.int64(2), [[0.0]]), (True, np.zeros((1, 0)))])
+    def test_ambient_dim_stored_as_int(self, dim, free):
+        g = BandedReflectors(dim, free)
+        assert type(g.ambient_dim) is int
+        assert g.ambient_dim == int(dim)
+
 
 class TestCompactSubspaceFactor:
     def test_core_must_be_square(self):

@@ -322,6 +322,27 @@ class TestMatrixText:
         path.write_bytes(text.encode())
         assert np.array_equal(read_matrix(path), expected)
 
+    # A path splits lines on "\n" only, as a stream does: a lone "\r" is a
+    # token separator, so "1 2\r3 4" is one row of four values either way.
+    @pytest.mark.parametrize("text,reads", [
+        ("2 2\n1 2\n3 4\n", True),
+        ("2 2\r\n1 2\r\n3 4\r\n", True),
+        ("2 2\n1 2\r3 4\n", False),
+        ("2 2\r1 2\r3 4\r", False),
+    ])
+    def test_path_and_stream_agree(self, tmp_path, text, reads):
+        def outcome(src):
+            try:
+                return read_matrix(src).tobytes()
+            except MatrixFormatError as exc:
+                return str(exc)
+
+        path = tmp_path / "a.txt"
+        path.write_bytes(text.encode())
+        from_stream = outcome(io.StringIO(text))
+        assert outcome(path) == from_stream
+        assert isinstance(from_stream, bytes) == reads
+
     # A stray byte, and the UTF-8 byte order mark some editors write.
     @pytest.mark.parametrize("data,message", [
         (b"1 1\n\xff\n", "not an ASCII file: byte 0xff at offset 4"),
