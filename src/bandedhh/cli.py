@@ -136,7 +136,7 @@ def _cmd_report(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args leaves the parser unchanged, and
-    # building it takes ~0.8 ms, a quarter of a small in-process apply call.
+    # building it takes 0.4-0.8 ms, about half a small in-process apply call.
     parser = argparse.ArgumentParser(
         prog="bandedhh",
         description="Factor matrices into banded Householder form and apply them.",

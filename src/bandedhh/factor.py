@@ -144,6 +144,10 @@ class CompactSubspaceFactor:
     placement TOP:    A = G (core; 0), reflectors.count = n
     placement BOTTOM: A = G (0; core), reflectors.count = m - n
 
+    placement is a Placement or its integer value, 0 or 1 (an int, bool or
+    numpy integer); anything else, 1.0 and np.float64(0) included, raises
+    ValueError.
+
     Every array a factor holds is a private copy, core C-ordered here and
     the reflectors' in BandedReflectors, so callers never copy for it and
     no view keeps an input or a larger buffer alive. A complex core raises
@@ -157,6 +161,8 @@ class CompactSubspaceFactor:
 
     def __post_init__(self):
         self.core = _floats(self.core, copy=True)
+        if not isinstance(self.placement, (Placement, int, np.integer)):  # Enum takes 1.0
+            raise ValueError(f"{self.placement!r} is not a valid Placement")
         self.placement = Placement(self.placement)
         if self.core.ndim != 2 or self.core.shape[0] != self.core.shape[1]:
             raise ShapeError(f"core must be square, got {self.core.shape}")

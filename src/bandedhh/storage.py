@@ -20,13 +20,18 @@ separated by single spaces. The writer emits 17 significant digits,
 which round-trips every finite double exactly; each value is written as
 "%.17g", byte for byte what format(x, ".17g") writes.
 
-The reader splits lines on "\n", from a path as from a stream, and tokens
-on any whitespace, so CRLF line ends are accepted and a lone "\r" is a
-token separator, not a line end. Each token must parse as Python float()
-parses it ("1_0" and "1e-400" are accepted and read as 10.0 and 0.0); a
-token that parses to NaN or +-Inf, "1e400" included, is rejected. A
-well-formed file is parsed by one np.loadtxt call (comments=None) over its
-m body lines, at about 0.55 us per 17-digit value on a 2-core x86-64 VM.
+The text must be ASCII, from a path as from a stream: the first other
+character, a UTF-8 byte order mark or a no-break space say, raises
+MatrixFormatError naming its value and offset (a byte of a file, a
+character of a stream). A path is decoded as latin-1, one character per
+byte, so both are checked by the one str.isascii() rule. The reader
+splits lines on "\n", from either source, and tokens on any whitespace,
+so CRLF line ends are accepted and a lone "\r" is a token separator, not
+a line end. Each token must parse as Python float() parses it ("1_0" and
+"1e-400" are accepted and read as 10.0 and 0.0); a token that parses to
+NaN or +-Inf, "1e400" included, is rejected. A well-formed file is parsed
+by one np.loadtxt call (comments=None) over its m body lines, at 0.3-0.6
+us per 17-digit value on a 2-core x86-64 VM.
 Every other file goes through a line by line scan, which decides what is
 accepted and raises MatrixFormatError for the first defect in file order.
 
@@ -240,14 +245,12 @@ def read_matrix(src) -> np.ndarray:
     """Read a matrix from a path or text stream in the text format."""
     if hasattr(src, "read"):
         text = src.read()
-    else:
-        with open(src, "r", encoding="ascii", newline="") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise MatrixFormatError(
-                    f"not an ASCII file: byte 0x{exc.object[exc.start]:02x} "
-                    f"at offset {exc.start}") from None
+    else:  # latin-1 decodes every byte, one character each, and keeps "\r"
+        with open(src, "rb") as fh:
+            text = fh.read().decode("latin-1")
+    if not text.isascii():
+        at = next(i for i, c in enumerate(text) if not c.isascii())
+        raise MatrixFormatError(f"not an ASCII file: byte 0x{ord(text[at]):02x} at offset {at}")
     lines = text.split("\n")
     m, n = _read_header(lines[0])
     body = lines[1 : 1 + m]

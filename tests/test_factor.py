@@ -122,7 +122,7 @@ class TestCompactSubspaceFactor:
         assert np.array_equal(back.core, f.core)
         assert np.array_equal(back.reflectors.free_entries, f.reflectors.free_entries)
 
-    @pytest.mark.parametrize("placement", ["TOP", 2, None])
+    @pytest.mark.parametrize("placement", ["TOP", 2, None, 1.0, 0.0, np.float64(1), 0.5])
     def test_placement_outside_the_enum_is_rejected(self, placement):
         f = factor_tall(random_matrix(7, 3, 0))
         with pytest.raises(ValueError, match="is not a valid Placement"):

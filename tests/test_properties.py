@@ -127,6 +127,27 @@ def test_fast_path_agrees_with_scan(text):
     assert fast == _read_outcome(lambda: _scan_rows(text.split("\n"), m, n))
 
 
+# One ASCII rule for a path and a stream: a file holding the latin-1 bytes
+# of a text reads as a stream holding the text does, to the same array or
+# the same error, with a character from U+0080..U+00FF (NBSP and NEL among
+# them, which str.split takes as whitespace) inserted or not.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(matrix_texts(),
+       st.none() | st.tuples(st.characters(min_codepoint=0x80, max_codepoint=0xFF),
+                             st.integers(0)))
+@example("1 2\n1 2\n", ("\xa0", 5))
+@example("1 2\n1 2\n", ("\x85", 5))
+def test_path_and_stream_read_alike(tmp_path_factory, text, insert):
+    if insert is not None:
+        char, at = insert
+        at %= len(text) + 1
+        text = text[:at] + char + text[at:]
+    path = tmp_path_factory.getbasetemp() / "path_and_stream.txt"
+    path.write_bytes(text.encode("latin-1"))
+    from_path = _read_outcome(lambda: read_matrix(path))
+    assert from_path == _read_outcome(lambda: read_matrix(io.StringIO(text)))
+
+
 # (m, n, rank, k, defect, seed): an m x n matrix of the given rank, drawn
 # as a product of thin Gaussian factors and scaled by 2^k, which is exact
 # down to the subnormals, then given the defect (see _with_defect).
@@ -218,6 +239,40 @@ def test_factor_properties(params):
 
 EPS = np.finfo(np.float64).eps
 DBL_MAX = np.finfo(np.float64).max
+# The accuracy the factor functions have, in units of sqrt(m) eps: the
+# constants were fixed from 20000 seeded draws of _graded_draw, measured
+# before the test was written, for all three functions. The worst ratios
+# were 2.29 for the reconstruction (factor_tall, seed 251, 7x4) and 2.75
+# for the probe (factor_complement, seed 3807, 2x1), so a 100x accuracy
+# regression fails here long before it reaches the flat 1e-12 above.
+RECON_C = 8.0
+ORTH_C = 8.0
+
+
+def _graded_draw(seed):
+    # An m x n Gaussian, 1 <= m <= 64, with column j scaled by 10^U(-3, 3),
+    # and a Gaussian probe vector z.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 65))
+    n = int(rng.integers(0, m + 1))
+    return rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, n), rng.standard_normal(m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+@example(251)
+@example(3807)
+def test_factor_accuracy_in_eps(seed):
+    a, z = _graded_draw(seed)
+    unit = np.sqrt(a.shape[0]) * EPS
+    for method in (factor_tall, factor_complement, factor_auto):
+        f = method(a)
+        assert _rel_err(reconstruct_a(f), a) <= RECON_C * unit, method.__name__
+        g = f.reflectors
+        probe = np.linalg.norm(apply_transpose(g, apply(g, z)) - z) / np.linalg.norm(z)
+        assert probe <= ORTH_C * unit, method.__name__
+
+
 # The constants c of the two bounds below were fixed from 18000 seeded
 # numpy draws of the same distribution, measured before the tests were
 # written, and checked on 3000 random draws of chart_draws. The worst

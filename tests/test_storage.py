@@ -354,6 +354,27 @@ class TestMatrixText:
         with pytest.raises(MatrixFormatError, match=f"^{message}$"):
             read_matrix(path)
 
+    # The same rule for a stream, whose message names the code point and
+    # counts characters. NBSP and U+2000 would split as whitespace and the
+    # Arabic-Indic and fullwidth ones read as float() digits, were they let
+    # through. A latin-1 file of the same text gets the same message.
+    @pytest.mark.parametrize("text,message", [
+        ("1 2\n1\xa02\n", "not an ASCII file: byte 0xa0 at offset 5"),
+        ("1 1\n\xff\n", "not an ASCII file: byte 0xff at offset 4"),
+        ("1 2\n1\u20002\n", "not an ASCII file: byte 0x2000 at offset 5"),
+        ("1 1\n\u0661\n", "not an ASCII file: byte 0x661 at offset 4"),
+        ("1 1\n\uff11\n", "not an ASCII file: byte 0xff11 at offset 4"),
+        ("\ufeff1 1\n2\n", "not an ASCII file: byte 0xfeff at offset 0"),
+    ])
+    def test_non_ascii_stream(self, tmp_path, text, message):
+        with pytest.raises(MatrixFormatError, match=f"^{message}$"):
+            read_matrix(io.StringIO(text))
+        if max(text) <= "\xff":
+            path = tmp_path / "a.txt"
+            path.write_bytes(text.encode("latin-1"))
+            with pytest.raises(MatrixFormatError, match=f"^{message}$"):
+                read_matrix(path)
+
     def test_underscore_digits_read_as_float_does(self):
         assert read_matrix(io.StringIO("1 1\n1_0\n"))[0, 0] == 10.0
 
