@@ -12,7 +12,6 @@ bandwidth n, again n(m - n) floats. factor_auto picks whichever side is
 cheaper.
 """
 
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,7 +57,7 @@ def as_matrix(a) -> np.ndarray:
     out = _floats(a, copy=False)
     if out.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={out.ndim}")
-    if out.size and not np.isfinite(out).all():
+    if not np.isfinite(out).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return out
 
@@ -80,9 +79,9 @@ class BandedReflectors:
     stored: betas[i] = 2 / (1 + t't) = 2 / (v'v) is the one value that
     makes the reflection orthogonal, so the free entries alone describe
     an orthogonal G. Every reflection is active; an all-zero tail gives
-    beta = 2, which flips the sign of row i. ambient_dim is an integer:
-    it is stored as int, and a value without __index__ (2.0, "2") raises
-    TypeError. count + bandwidth = ambient_dim always.
+    beta = 2, which flips the sign of row i. The free entries are the
+    whole of G: their shape (count, bandwidth) fixes the dimension G acts
+    on, ambient_dim = count + bandwidth, a read-only int.
 
     The one tail rule: each tail must have t't <= 1 + (2 w + 16) eps, with
     w the bandwidth, or the constructor raises ValueError naming the first
@@ -100,23 +99,16 @@ class BandedReflectors:
     would have no single truth value.
     """
 
-    ambient_dim: int
     free_entries: np.ndarray
     betas: np.ndarray = field(init=False)
     _plan: tuple = field(default=(None, ()), init=False, repr=False)
 
     def __post_init__(self):
-        self.ambient_dim = operator.index(self.ambient_dim)
         self.free_entries = _floats(self.free_entries, copy=True)
         self.free_entries.flags.writeable = False
         if self.free_entries.ndim != 2:
             raise ShapeError("free_entries must be a 2-D array")
-        k, w = self.free_entries.shape
-        if k + w != self.ambient_dim:
-            raise ShapeError(
-                f"count + bandwidth must equal ambient_dim: {k} + {w} != {self.ambient_dim}"
-            )
-        t = self.free_entries
+        t, w = self.free_entries, self.bandwidth
         tt = np.einsum("ij,ij->i", t, t)  # inf, without a warning, on overflow
         long = ~(tt <= 1.0 + (2 * w + 16) * np.finfo(np.float64).eps)  # NaN too
         if long.any():
@@ -135,6 +127,10 @@ class BandedReflectors:
     @property
     def bandwidth(self) -> int:
         return self.free_entries.shape[1]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.count + self.bandwidth
 
 
 @dataclass(eq=False)
@@ -246,7 +242,7 @@ def factor_tall(a) -> CompactSubspaceFactor:
 def _tall(a: np.ndarray) -> CompactSubspaceFactor:
     m, n = a.shape
     if m == n:
-        return CompactSubspaceFactor(BandedReflectors(m, np.zeros((n, 0))), -a, Placement.TOP)
+        return CompactSubspaceFactor(BandedReflectors(np.zeros((n, 0))), -a, Placement.TOP)
     a, e = _kernels.in_range(a)
     band, x = _band_basis(a)
     h, tau = np.linalg.qr(band, mode="raw")
@@ -298,7 +294,7 @@ def _reflectors(h: np.ndarray) -> BandedReflectors:
     # row and one column per reflection reads them all through one view,
     # whose last entry is h[n - 1, m - 1]. BandedReflectors copies it.
     s0, s1 = h.strides
-    return BandedReflectors(m, as_strided(h[:, 1:], (n, w), (s0 + s1, s1)))
+    return BandedReflectors(as_strided(h[:, 1:], (n, w), (s0 + s1, s1)))
 
 
 def _complement_basis(a: np.ndarray) -> np.ndarray:
@@ -350,7 +346,7 @@ def factor_complement(a) -> CompactSubspaceFactor:
 def _complement(a: np.ndarray) -> CompactSubspaceFactor:
     m, n = a.shape
     if m == n:
-        return CompactSubspaceFactor(BandedReflectors(m, np.zeros((0, m))), a, Placement.BOTTOM)
+        return CompactSubspaceFactor(BandedReflectors(np.zeros((0, m))), a, Placement.BOTTOM)
     k = m - n
     a, e = _kernels.in_range(a)
     g = _reflectors(np.linalg.qr(_band_basis(_complement_basis(a))[0], mode="raw")[0])

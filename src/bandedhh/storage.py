@@ -118,13 +118,15 @@ def _read_exact(source, nbytes: int, offset: int, what: str) -> bytes:
 def read_factor(source) -> CompactSubspaceFactor:
     """Parse one factor record from a binary stream.
 
-    Besides the layout, the payload must be finite. The tails must obey
-    the one tail rule, which the reader does not check itself: it hands
-    them to BandedReflectors and raises that rule's ValueError as a
-    FactorFormatError with the same message. Every beta is derived from
-    its tail, so any factor that reads back describes an orthogonal G. The
-    payload is only viewed; the factor copies what it keeps, so it holds
-    about the record's size.
+    The header's m is redundant: the reflectors derive their dimension
+    from k and w, so m must equal k + w, which is checked here only, before
+    the payload is read. Besides the layout, the payload must be finite.
+    The tails must obey the one tail rule, which the reader does not check
+    itself: it hands them to BandedReflectors and raises that rule's
+    ValueError as a FactorFormatError with the same message. Every beta is
+    derived from its tail, so any factor that reads back describes an
+    orthogonal G. The payload is only viewed; the factor copies what it
+    keeps, so it holds about the record's size.
     """
     magic = _read_exact(source, len(MAGIC), 0, "magic")
     if magic != MAGIC:
@@ -149,10 +151,10 @@ def read_factor(source) -> CompactSubspaceFactor:
     count = k * w + n * n
     payload = _read_exact(source, 8 * count, len(MAGIC) + _HEADER.size, "payload")
     doubles = np.frombuffer(payload, dtype="<f8")
-    if doubles.size and not np.isfinite(doubles).all():
+    if not np.isfinite(doubles).all():
         raise FactorFormatError("payload contains non-finite values")
     try:
-        g = BandedReflectors(m, doubles[: k * w].reshape(k, w))
+        g = BandedReflectors(doubles[: k * w].reshape(k, w))
     except ValueError as exc:  # a tail too long for BandedReflectors' rule
         raise FactorFormatError(str(exc)) from None
     return CompactSubspaceFactor(g, doubles[k * w :].reshape(n, n), placement)

@@ -126,9 +126,9 @@ def test_code_lines_script(tmp_path):
 # and list.index raise ValueError on any instance with more than one entry,
 # and the type is unhashable. Every such class compares by identity.
 @pytest.mark.parametrize("make", [
-    lambda: bandedhh.BandedReflectors(3, [[0.5], [0.25]]),
+    lambda: bandedhh.BandedReflectors([[0.5], [0.25]]),
     lambda: bandedhh.CompactSubspaceFactor(
-        bandedhh.BandedReflectors(3, [[0.5], [0.25]]), np.eye(2), bandedhh.Placement.TOP),
+        bandedhh.BandedReflectors([[0.5], [0.25]]), np.eye(2), bandedhh.Placement.TOP),
     lambda: BlockedWY(np.ones((3, 2)), np.eye(2), 0),
 ], ids=["BandedReflectors", "CompactSubspaceFactor", "BlockedWY"])
 def test_array_holders_compare_by_identity(make):
@@ -155,7 +155,7 @@ def test_no_dataclass_compares_arrays():
 
 # Every public entry refuses complex input, where a float64 conversion would
 # drop the imaginary part with only a ComplexWarning.
-G = bandedhh.BandedReflectors(4, np.zeros((2, 2)))
+G = bandedhh.BandedReflectors(np.zeros((2, 2)))
 COMPLEX_ENTRIES = {
     "factor_tall": lambda: bandedhh.factor_tall(np.ones((6, 3)) * 1j),
     "factor_complement": lambda: bandedhh.factor_complement(np.ones((6, 5)) * 1j),
@@ -166,7 +166,7 @@ COMPLEX_ENTRIES = {
     "apply_counted": lambda: bandedhh.apply_counted(G, np.ones(4) * 1j, bandedhh.FlopCounter()),
     "apply_to_matrix": lambda: bandedhh.apply_to_matrix(G, np.ones((4, 2)) * 1j),
     "apply_blocked": lambda: bandedhh.apply_blocked(G, np.ones(4) * 1j, 1),
-    "BandedReflectors": lambda: bandedhh.BandedReflectors(4, np.zeros((2, 2)) * 1j),
+    "BandedReflectors": lambda: bandedhh.BandedReflectors(np.zeros((2, 2)) * 1j),
     "CompactSubspaceFactor": lambda: bandedhh.CompactSubspaceFactor(
         G, np.eye(2) * (1 + 0j), bandedhh.Placement.TOP),
 }

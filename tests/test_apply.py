@@ -62,14 +62,14 @@ def embedded_wy(g, blk):
 class TestApply:
     # A zero tail gives beta = 2: the reflection flips the sign of its row.
     def test_zero_tails_flip_signs(self):
-        g = BandedReflectors(5, np.zeros((3, 2)))
+        g = BandedReflectors(np.zeros((3, 2)))
         x = np.arange(1.0, 6.0)
         flipped = np.array([-1.0, -2.0, -3.0, 4.0, 5.0])
         assert np.array_equal(apply(g, x), flipped)
         assert np.array_equal(apply_transpose(g, x), flipped)
 
     def test_single_reflection_hand_case(self):
-        g = BandedReflectors(2, np.array([[1.0]]))
+        g = BandedReflectors(np.array([[1.0]]))
         assert np.array_equal(apply(g, [1.0, 0.0]), [0.0, -1.0])
 
     def test_matches_dense_oracle(self):
@@ -143,7 +143,7 @@ class TestApplyCounted:
 
     # Every reflection is active, a zero tail's sign flip included.
     def test_zero_tails_cost_the_same(self):
-        g = BandedReflectors(5, np.zeros((2, 3)))
+        g = BandedReflectors(np.zeros((2, 3)))
         counter = FlopCounter()
         apply_counted(g, np.ones(5), counter)
         assert counter.total == 28  # 2 (4 (m - n) + 2) with n=2, m-n=3
@@ -167,7 +167,7 @@ class TestApplyCounted:
 ], ids=["apply", "apply_transpose", "apply_blocked", "apply_counted",
         "apply_to_matrix", "apply_to_matrix_transpose"])
 def test_product_near_limit(product):
-    out = product(BandedReflectors(2, [[1.0]]), np.array([1e308, 1e308]))
+    out = product(BandedReflectors([[1.0]]), np.array([1e308, 1e308]))
     assert np.array_equal(out, [-1e308, -1e308])
 
 
@@ -176,7 +176,7 @@ def test_product_near_limit(product):
 @pytest.mark.parametrize("transpose", [False, True])
 def test_nan_column_beside_huge_column(transpose):
     x = np.array([[np.nan, 1e308], [np.nan, 1e308]])
-    out = apply_to_matrix(BandedReflectors(2, [[1.0]]), x, transpose)
+    out = apply_to_matrix(BandedReflectors([[1.0]]), x, transpose)
     assert np.isnan(out[:, 0]).all()
     assert np.array_equal(out[:, 1], [-1e308, -1e308])
 
@@ -314,7 +314,7 @@ def sign_flip_mix_g():
     # every third tail zeroed, so that reflection is the sign flip of its row
     free = tall_g(120, 45, 40).free_entries.copy()
     free[np.arange(45) % 3 == 1] = 0.0
-    return BandedReflectors(120, free)
+    return BandedReflectors(free)
 
 
 class TestWYEngine:
@@ -326,8 +326,8 @@ class TestWYEngine:
         "several-blocks": lambda: factor_complement(
             np.random.default_rng(43).standard_normal((160, 90))).reflectors,
         "w=0-square": lambda: tall_g(20, 20, 44),
-        "w=0-sign-flips": lambda: BandedReflectors(40, np.zeros((40, 0))),
-        "k=0": lambda: BandedReflectors(9, np.zeros((0, 9))),
+        "w=0-sign-flips": lambda: BandedReflectors(np.zeros((40, 0))),
+        "k=0": lambda: BandedReflectors(np.zeros((0, 9))),
         "sign-flip-mix": sign_flip_mix_g,
     }
 
@@ -355,7 +355,7 @@ class TestWYEngine:
     # Zero tails make G the sign flip of the first k rows, on every path bit
     # for bit (x - 2x for nonzero x).
     def test_zero_tails_are_exact_sign_flips(self):
-        g = BandedReflectors(80, np.zeros((40, 40)))
+        g = BandedReflectors(np.zeros((40, 40)))
         rng = np.random.default_rng(46)
         x, xs = rng.standard_normal(80), rng.standard_normal((80, 64))
         flip = np.where(np.arange(80) < 40, -1.0, 1.0)
@@ -365,7 +365,7 @@ class TestWYEngine:
         assert np.array_equal(apply_to_matrix(g, xs, transpose=True), flip[:, None] * xs)
 
     def test_hand_case_exact_on_every_path(self):
-        g = BandedReflectors(2, np.array([[1.0]]))
+        g = BandedReflectors(np.array([[1.0]]))
         assert np.array_equal(apply_transpose(g, [1.0, 0.0]), [0.0, -1.0])
         assert np.array_equal(apply_to_matrix(g, [[1.0], [0.0]]), [[0.0], [-1.0]])
         assert np.array_equal(apply_blocked(g, [1.0, 0.0], 1), [0.0, -1.0])
@@ -410,7 +410,7 @@ class TestWYEngine:
 
     def test_factor_arrays_are_read_only_copies(self):
         free = np.full((3, 2), 0.5)
-        g = BandedReflectors(5, free)
+        g = BandedReflectors(free)
         free[0, 0] = 7.0
         assert g.free_entries[0, 0] == 0.5
         with pytest.raises(ValueError):

@@ -450,7 +450,7 @@ class TestApplyCommand:
     # The exact product of the 2x2 hand reflection fits, so apply prints it.
     @pytest.mark.parametrize("transpose", [[], ["--transpose"]])
     def test_product_near_limit(self, tmp_path, capsys, transpose):
-        g = BandedReflectors(2, [[1.0]])
+        g = BandedReflectors([[1.0]])
         with open(tmp_path / "h.bhf", "wb") as fh:
             storage.write_factor(CompactSubspaceFactor(g, [[1.0]], Placement.TOP), fh)
         x = np.array([1e308, 1e308])

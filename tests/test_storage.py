@@ -102,12 +102,16 @@ class TestFactorFormat:
             read_factor(io.BytesIO(data))
         assert "expected 224 bytes, got 216" in str(excinfo.value)
 
+    # Bandwidth 9, or m 8 with k, w, n and the payload size unchanged: either
+    # way k + w != m. This header check is the one place the file's m word
+    # is tied to k + w; the reflectors derive their dimension from k and w.
     def test_inconsistent_band(self):
         f, _ = make_factor(7, 4)
-        data = bytearray(factor_bytes(f))
-        data[20:24] = (9).to_bytes(4, "little")  # bandwidth 9: k + w != m
-        with pytest.raises(DimensionError, match="bandwidth"):
-            read_factor(io.BytesIO(bytes(data)))
+        for start, value in ((20, 9), (4, 8)):
+            data = bytearray(factor_bytes(f))
+            data[start : start + 4] = value.to_bytes(4, "little")
+            with pytest.raises(DimensionError, match="bandwidth"):
+                read_factor(io.BytesIO(bytes(data)))
 
     def test_invalid_placement(self):
         f, _ = make_factor(7, 4)
