@@ -42,22 +42,18 @@ __all__ = [
 
 @dataclass
 class FlopCounter:
-    """Tally of floating point operations under the paper's convention.
+    """Running total of floating point operations under the paper's convention.
 
-    The count is per reflection, as if each were applied on its own; it is
-    not the count of operations the blocked engine runs. One reflection of
-    tail width w costs 4w + 2 flops: the dot product exploits the implicit
-    unit pivot (w multiplies, w additions), scaling by beta is 1 multiply,
-    and the update is 1 addition for the pivot plus w multiplies and w
-    additions for the tail.
+    total is the one field. The count is per reflection, as if each were
+    applied on its own; it is not the count of operations the blocked
+    engine runs. One reflection of tail width w costs 4w + 2 flops: the dot
+    product exploits the implicit unit pivot (w multiplies, w additions),
+    scaling by beta is 1 multiply, and the update is 1 addition for the
+    pivot plus w multiplies and w additions for the tail. So a product with
+    k reflections of width w adds 4kw + 2k.
     """
 
-    multiplies: int = 0
-    additions: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.multiplies + self.additions
+    total: int = 0
 
 
 def _operand(g: BandedReflectors, x, ndim: int) -> np.ndarray:
@@ -88,11 +84,9 @@ def apply_transpose(g: BandedReflectors, y) -> np.ndarray:
 
 
 def apply_counted(g: BandedReflectors, x, counter: FlopCounter) -> np.ndarray:
-    """Same result as apply, adding the paper's flop count to counter."""
+    """Same result as apply, adding the paper's 4kw + 2k flops to counter.total."""
     out = apply(g, x)
-    per_side = g.count * (2 * g.bandwidth + 1)
-    counter.multiplies += per_side
-    counter.additions += per_side
+    counter.total += 2 * g.count * (2 * g.bandwidth + 1)
     return out
 
 

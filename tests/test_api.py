@@ -21,6 +21,7 @@ from bandedhh._kernels import BlockedWY
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CODE_LINES = README.parent / "scripts" / "code_lines.py"
+AB = README.parent / "scripts" / "ab.py"
 
 PUBLIC = {
     "FlopCounter",
@@ -120,6 +121,24 @@ def test_code_lines_script(tmp_path):
     assert [name for name, _ in rows[:-1]] == sorted(p.name for p in package.glob("*.py"))
     assert rows[-1][0] == "total"
     assert int(rows[-1][1]) == sum(int(count) for _, count in rows[:-1])
+
+
+# scripts/ab.py: 9 paired ratios give the 2nd and 8th order statistics as the
+# median's 95% interval (P(Binomial(9, 1/2) <= 1) = 10/512 <= 0.025), and one
+# source tree loads as two independent packages with the same bytes out.
+def test_ab_script():
+    ab = runpy.run_path(str(AB))
+    ratios = [1.3, 0.9, 1.1, 0.7, 1.0, 1.2, 0.8, 1.4, 0.6]
+    assert ab["median_interval"](ratios) == (1.0, 0.7, 1.3)
+    with pytest.raises(ValueError):
+        ab["median_interval"](ratios[:5])
+    first, second = (ab["load"](f"bandedhh_ab_test_{side}", README.parent / "src")
+                     for side in ("first", "second"))
+    assert first.factor_tall is not second.factor_tall
+    a = np.random.default_rng(14).standard_normal((7, 4))
+    first_bytes, second_bytes = (ab["factor_bytes"](pkg, pkg.factor_tall(a))
+                                 for pkg in (first, second))
+    assert first_bytes == second_bytes == ab["factor_bytes"](bandedhh, bandedhh.factor_tall(a))
 
 
 # A generated __eq__ over ndarray fields has no single truth value: ==, `in`

@@ -132,7 +132,6 @@ class TestApplyCounted:
         counter = FlopCounter()
         apply_counted(g, np.ones(7), counter)
         assert counter.total == 56  # 4 n (m - n) + 2 n with n=4, m-n=3
-        assert counter.total == counter.multiplies + counter.additions
 
     def test_single_reflection_width_three(self):
         g = tall_g(4, 1, 10)
@@ -152,6 +151,23 @@ class TestApplyCounted:
         g = tall_g(11, 4, 11)
         x = np.random.default_rng(12).standard_normal(11)
         assert np.array_equal(apply_counted(g, x, FlopCounter()), apply(g, x))
+
+    # total is the counter's one field: each call adds 4kw + 2k to it, from
+    # wherever it starts, and the product is apply's, bit for bit.
+    @pytest.mark.parametrize("factor, shape, k, w", [
+        (factor_tall, (7, 4), 4, 3),
+        (factor_complement, (12, 9), 3, 9),
+        (factor_tall, (5, 5), 5, 0),         # 2 flops per sign flip
+        (factor_complement, (5, 5), 0, 5),   # G = I costs nothing
+    ], ids=["tall_7x4", "complement_12x9", "tall_square", "complement_square"])
+    def test_counts_accumulate_in_total(self, factor, shape, k, w):
+        rng = np.random.default_rng(13)
+        g = factor(rng.standard_normal(shape)).reflectors
+        assert (g.count, g.bandwidth) == (k, w)
+        counter = FlopCounter(total=5)
+        for x in rng.standard_normal((2, shape[0])):
+            assert np.array_equal(apply_counted(g, x, counter), apply(g, x))
+        assert counter.total == 5 + 2 * (4 * k * w + 2 * k)
 
 
 # G is orthogonal, so a product overflows only when its exact answer does;
