@@ -11,7 +11,9 @@ side per pair, and alternates which side goes first. (With a fresh input per
 pair, the first call after each draw ran about 10% slower than the second,
 and the median of the two orders' ratios sat anywhere between them.)
 
-For each kind it prints two JSON lines: REV against itself (A/A, the
+It first prints one JSON line of the environment: the numpy version, the
+BLAS numpy was built against, OPENBLAS_NUM_THREADS and the CPU count. Then,
+for each kind, it prints two JSON lines: REV against itself (A/A, the
 control) and the working tree against REV. Each holds the median of the
 per-pair time ratios (second side over first), its distribution-free 95%
 interval, the pair count, the pairs the second side won, each side's median
@@ -19,10 +21,13 @@ time in ms, and whether the two sides' outputs were bit-identical on every
 pair (write_factor bytes, product bytes, CLI stdout).
 
 The request kinds: factor_auto at 1000x200, 1500x300, 1000x900 and
-1200x1000; apply with 1 and with 64 columns on one 4096x512 factor; and the
-CLI's apply, run in-process through cli.main, at 512x64 on files written in
-the temporary directory. BLAS runs one thread unless OPENBLAS_NUM_THREADS
-is set. Nothing is written inside the repository.
+1200x1000, and at 1000x200 with one column scaled by 1e305 (the float64
+shift path) and with columns graded by logspace(-20, 20); apply with 1 and
+with 64 columns on one 4096x512 factor; and the CLI, run in-process through
+cli.main on files written in the temporary directory: factor --self-check
+at 1000x200, whose stdout and written file are compared, and apply at
+512x64. BLAS runs one thread unless OPENBLAS_NUM_THREADS is set. Nothing
+is written inside the repository.
 """
 
 import os
@@ -82,6 +87,17 @@ def rng(*key) -> np.random.Generator:
     return np.random.default_rng([SEED, *key])
 
 
+def environment() -> dict:
+    """The numpy version, its BLAS, the BLAS thread setting and the CPU count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def factor_bytes(pkg, f) -> bytes:
     sink = io.BytesIO()
     pkg.write_factor(f, sink)
@@ -91,10 +107,10 @@ def factor_bytes(pkg, f) -> bytes:
 # A kind is (data, bind): data is the input of every call on both sides;
 # bind(pkg) sets a side up, untimed, and returns (run, render), where
 # run(data) is the timed call and render(result) the bytes to compare.
-def factor_kind(m, n):
+def factor_kind(a):
     def bind(pkg):
         return pkg.factor_auto, lambda f: factor_bytes(pkg, f)
-    return rng(m, n).standard_normal((m, n)), bind
+    return a, bind
 
 
 def apply_kind(columns):
@@ -109,24 +125,35 @@ def apply_kind(columns):
     return x, bind
 
 
-def cli_kind(writer, tmp: Path):
+def cli_runner(pkg):
+    """run(argv): pkg's cli.main(argv), in-process, returning its stdout."""
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        if code:
+            raise RuntimeError(f"{pkg.__name__}: cli {argv[0]} exited {code}")
+        return out.getvalue()
+    return run
+
+
+def cli_apply_kind(writer, tmp: Path):
     argv = ["apply", str(tmp / "a.bhf"), str(tmp / "x.txt")]
     with open(argv[1], "wb") as sink:
         writer.write_factor(writer.factor_auto(rng(512, 64).standard_normal((512, 64))), sink)
     writer.write_matrix(rng(512, 1).standard_normal((512, 1)), argv[2])
+    return argv, lambda pkg: (cli_runner(pkg), str.encode)
 
-    def bind(pkg):
-        cli = importlib.import_module(f"{pkg.__name__}.cli")
 
-        def run(argv):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(argv)
-            if code:
-                raise RuntimeError(f"{pkg.__name__}: cli apply exited {code}")
-            return out.getvalue()
-        return run, str.encode
-    return argv, bind
+def cli_factor_kind(writer, tmp: Path):
+    # Both sides write the same path; each side's file is read back right
+    # after its own call, before the other side runs.
+    argv = ["factor", str(tmp / "f.txt"), str(tmp / "f.bhf"), "--self-check"]
+    writer.write_matrix(rng(1000, 200).standard_normal((1000, 200)), argv[1])
+    output = Path(argv[2])
+    return argv, lambda pkg: (cli_runner(pkg), lambda out: out.encode() + output.read_bytes())
 
 
 def compare(kind, first, second, pairs: int) -> dict:
@@ -162,6 +189,7 @@ def main(argv=None) -> int:
     if args.pairs < 6:
         parser.error("--pairs must be at least 6")
     sys.dont_write_bytecode = True
+    print(json.dumps(environment()), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         archive = subprocess.run(["git", "-C", str(REPO), "archive", args.base, "src"],
@@ -171,11 +199,17 @@ def main(argv=None) -> int:
         base = load("bandedhh_base", tmp / "src")
         control = load("bandedhh_base_control", tmp / "src")
         change = load("bandedhh_change", REPO / "src")
-        kinds = {f"factor_auto {m}x{n}": factor_kind(m, n)
+        kinds = {f"factor_auto {m}x{n}": factor_kind(rng(m, n).standard_normal((m, n)))
                  for m, n in ((1000, 200), (1500, 300), (1000, 900), (1200, 1000))}
+        a = rng(1000, 200).standard_normal((1000, 200))
+        huge = a.copy()
+        huge[:, 7] *= 1e305
+        kinds["factor_auto 1000x200, one column x1e305"] = factor_kind(huge)
+        kinds["factor_auto 1000x200, graded columns"] = factor_kind(a * np.logspace(-20, 20, 200))
         kinds["apply 4096x512, 1 column"] = apply_kind(1)
         kinds["apply 4096x512, 64 columns"] = apply_kind(64)
-        kinds["cli apply 512x64"] = cli_kind(base, tmp)
+        kinds["cli factor --self-check 1000x200"] = cli_factor_kind(base, tmp)
+        kinds["cli apply 512x64"] = cli_apply_kind(base, tmp)
         for name, kind in kinds.items():
             for label, second in (("base/base", control), ("change/base", change)):
                 row = {"kind": name, "compare": label, **compare(kind, base, second, args.pairs)}

@@ -18,8 +18,8 @@ C-ordered float64 copy, so the engine can overwrite it, of a vector (ndim
 raises ShapeError, and complex input raises ValueError.
 
 Non-finite input is not rejected: NaN and Inf propagate through every
-product by IEEE rules, and nothing raises. The engine's one pass for the
-operand's peak (see _kernels) never scales on them, and the CLI rejects
+product by IEEE rules, and nothing raises. The engine's range check of
+the operand (see _kernels) never scales on them, and the CLI rejects
 non-finite values when it reads a matrix (storage.read_matrix).
 """
 

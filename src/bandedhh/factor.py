@@ -48,18 +48,23 @@ def _floats(x, copy: bool) -> np.ndarray:
     return (np.array if copy else np.asarray)(x, dtype=np.float64, order="C")
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate a as a 2-D float64 C-ordered matrix and return it.
+def as_matrix(a) -> tuple[np.ndarray, np.ndarray]:
+    """a as a validated 2-D float64 C-ordered matrix, and its column peaks.
 
     Rejects complex input, anything that is not two-dimensional and any
-    NaN/Inf entry; all downstream invariants assume finite arithmetic.
+    NaN/Inf entry; all downstream invariants assume finite arithmetic. The
+    peaks, max|a_j| per column j (_kernels.column_peaks), are the one pass
+    over a for its range: a NaN or Inf entry makes its column's peak
+    non-finite, so checking the n peaks checks every entry, and the factor
+    pipelines take their float64 shift (_kernels.in_range) from them.
     """
     out = _floats(a, copy=False)
     if out.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={out.ndim}")
-    if not np.isfinite(out).all():
+    peak = _kernels.column_peaks(out)
+    if not np.isfinite(peak).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return out
+    return out, peak
 
 
 class Placement(Enum):
@@ -174,12 +179,16 @@ class CompactSubspaceFactor:
             )
 
 
-def _checked(a, name: str) -> np.ndarray:
-    """The input of the factor function name: as_matrix(a), with m >= n."""
-    a = as_matrix(a)
+def _checked(a, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The input of the factor function name, and its column peaks.
+
+    That is as_matrix(a), with m >= n checked after it, so a NaN in a
+    2 x 3 input raises the finite ValueError, not ShapeError.
+    """
+    a, peak = as_matrix(a)
     if a.shape[0] < a.shape[1]:
         raise ShapeError(f"{name} requires m >= n, got {a.shape[0]} x {a.shape[1]}")
-    return a
+    return a, peak
 
 
 def _fits(core: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -204,7 +213,8 @@ def factor_tall(a) -> CompactSubspaceFactor:
     m - n rows. Both Householder steps are LAPACK dgeqrf through
     np.linalg.qr, and the banded QR reads its reflectors straight from
     mode="raw". The input is validated once, on entry, and left unchanged,
-    and a C-ordered float64 input is not copied beforehand. Intermediates,
+    and a C-ordered float64 input is not copied beforehand. That check is
+    one pass for the column peaks, max|a_j| (as_matrix). Intermediates,
     the complement path's U2 included, are not validated again. The free
     entries are read from LAPACK's output through one skewed strided view.
 
@@ -212,16 +222,17 @@ def factor_tall(a) -> CompactSubspaceFactor:
     apply engine's one rule (_kernels.in_range): the pipeline runs on a
     with each column whose peak exceeds 2^1000 shifted by a power of two to
     just under it, so no intermediate overflows, and only the finished core
-    is shifted back. Column j of the core has the 2-norm of column j of a,
-    so the core can overflow only when a column's 2-norm exceeds the
-    largest double. Then a ValueError names the float64 overflow, and no
-    non-finite factor is returned. Sign convention:
-    v = x + sign(x[0]) ||x|| e1 with sign() read from the sign bit, so a
-    -0.0 pivot counts as negative. A column that is already zero below its
-    pivot, which LAPACK skips (tau = 0), keeps its zero tail and so becomes
-    the sign flip of its row (beta = 2). Later reflections never touch
-    that row, so the flip commutes with them, and that row of the core is
-    negated to match.
+    is shifted back. The shift comes from the column peaks that the entry
+    check read, so finding it costs no second pass over a. Column j of the
+    core has the 2-norm of column j of a, so the core can overflow only
+    when a column's 2-norm exceeds the largest double. Then a ValueError
+    names the float64 overflow, and no non-finite factor is returned. Sign
+    convention: v = x + sign(x[0]) ||x|| e1 with sign() read from the sign
+    bit, so a -0.0 pivot counts as negative. A column that is already zero
+    below its pivot, which LAPACK skips (tau = 0), keeps its zero tail and
+    so becomes the sign flip of its row (beta = 2). Later reflections never
+    touch that row, so the flip commutes with them, and that row of the
+    core is negated to match.
 
     Accuracy: with both sides divided by max|a| first, so that neither norm
     underflows, ||reconstruct_a(f) - a||_F / ||a||_F is at most 1e-12 +
@@ -236,14 +247,14 @@ def factor_tall(a) -> CompactSubspaceFactor:
     Square input short-circuits to G = -I (n reflections with empty tails)
     and B = -a, bit-exactly.
     """
-    return _tall(_checked(a, "factor_tall"))
+    return _tall(*_checked(a, "factor_tall"))
 
 
-def _tall(a: np.ndarray) -> CompactSubspaceFactor:
+def _tall(a: np.ndarray, peak: np.ndarray) -> CompactSubspaceFactor:
     m, n = a.shape
     if m == n:
         return CompactSubspaceFactor(BandedReflectors(np.zeros((n, 0))), -a, Placement.TOP)
-    a, e = _kernels.in_range(a)
+    a, e = _kernels.in_range(a, peak)
     band, x = _band_basis(a)
     h, tau = np.linalg.qr(band, mode="raw")
     del band  # so that band, h and the free entries' copy never coexist
@@ -335,20 +346,21 @@ def factor_complement(a) -> CompactSubspaceFactor:
     numerically rank-deficient input the complement basis is not unique,
     so neither is the output, but the reconstruction contract still holds.
     The input is validated once, on entry, and its columns are shifted
-    below 2^1000 as factor_tall describes. The shift leaves range(a), on
-    which G depends, unchanged, and the core solve acts column by column,
-    so only the finished core is shifted back. It raises factor_tall's ValueError when
-    that core, or the solve for W, overflows float64.
+    below 2^1000 as factor_tall describes, by the peaks that check read.
+    The shift leaves range(a), on which G depends, unchanged, and the core
+    solve acts column by column, so only the finished core is shifted back.
+    It raises factor_tall's ValueError when that core, or the solve for W,
+    overflows float64.
     """
-    return _complement(_checked(a, "factor_complement"))
+    return _complement(*_checked(a, "factor_complement"))
 
 
-def _complement(a: np.ndarray) -> CompactSubspaceFactor:
+def _complement(a: np.ndarray, peak: np.ndarray) -> CompactSubspaceFactor:
     m, n = a.shape
     if m == n:
         return CompactSubspaceFactor(BandedReflectors(np.zeros((0, m))), a, Placement.BOTTOM)
     k = m - n
-    a, e = _kernels.in_range(a)
+    a, e = _kernels.in_range(a, peak)
     g = _reflectors(np.linalg.qr(_band_basis(_complement_basis(a))[0], mode="raw")[0])
     # B = a[k:] - V2 V1^-1 a[:k], from the vanishing top rows of G' a. V' is
     # freed before the factor copies B. W = V1^-1 a[:k] is not bounded by a,
@@ -367,9 +379,9 @@ def factor_auto(a) -> CompactSubspaceFactor:
     Either way G ends up with at most m/2 vectors of at least m/2 + 1
     nonzero components, so blocked application stays efficient.
     """
-    a = _checked(a, "factor_auto")
+    a, peak = _checked(a, "factor_auto")
     m, n = a.shape
-    return _tall(a) if m - n >= n else _complement(a)
+    return _tall(a, peak) if m - n >= n else _complement(a, peak)
 
 
 def reconstruct_a(f: CompactSubspaceFactor) -> np.ndarray:

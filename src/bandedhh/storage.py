@@ -175,7 +175,7 @@ def _matrix_text(a: np.ndarray) -> str:
 
 def write_matrix(a, dest) -> int:
     """Write a in text form to a path or text stream; returns byte count."""
-    text = _matrix_text(as_matrix(a))
+    text = _matrix_text(as_matrix(a)[0])
     if hasattr(dest, "write"):
         dest.write(text)
     else:

@@ -139,6 +139,9 @@ def test_ab_script():
     first_bytes, second_bytes = (ab["factor_bytes"](pkg, pkg.factor_tall(a))
                                  for pkg in (first, second))
     assert first_bytes == second_bytes == ab["factor_bytes"](bandedhh, bandedhh.factor_tall(a))
+    env = ab["environment"]()
+    assert list(env) == ["numpy", "blas", "OPENBLAS_NUM_THREADS", "cpu_count"]
+    assert env["numpy"] == np.__version__
 
 
 # A generated __eq__ over ndarray fields has no single truth value: ==, `in`

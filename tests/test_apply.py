@@ -38,13 +38,13 @@ def reference_apply(g, x, forward):
 
 def band_rows(g, blk):
     """Rows of the full reflection vectors that blk.v_block holds."""
-    return slice(blk.start_index, blk.start_index + blk.block_size + g.bandwidth)
+    return slice(blk.start_index, blk.start_index + blk.t_block.shape[0] + g.bandwidth)
 
 
 def check_band_compact(g, blk):
     """v_block column j is implied_vector(start + j) on the band rows, zero elsewhere."""
     rows = band_rows(g, blk)
-    for j in range(blk.block_size):
+    for j in range(blk.t_block.shape[0]):
         v = implied_vector(g, blk.start_index + j)
         assert np.array_equal(blk.v_block[:, j], v[rows])
         v[rows] = 0.0
@@ -282,7 +282,7 @@ class TestBlockT:
         h, tau = np.linalg.qr(np.random.default_rng(32).standard_normal((30, 12)), mode="raw")
         tau[[0, 5, 11]] = 0.0
         for blk in _kernels.raw_blocks(h, tau):
-            s, e = blk.start_index, blk.start_index + blk.block_size
+            s, e = blk.start_index, blk.start_index + blk.t_block.shape[0]
             vt = np.ascontiguousarray(blk.v_block.T)
             expected = masked_block_t(vt, tau[s:e])
             assert _kernels._block_t(vt, tau[s:e]).tobytes() == expected.tobytes()
@@ -315,7 +315,7 @@ class TestApplyBlocked:
         g = tall_g(25, 10, 33)
         chain = _kernels.plan(g, 3)
         assert [blk.start_index for blk in chain] == [0, 3, 6, 9]
-        assert [blk.block_size for blk in chain] == [3, 3, 3, 1]
+        assert [blk.t_block.shape[0] for blk in chain] == [3, 3, 3, 1]
 
     @pytest.mark.parametrize("block_size", [0, 2.0, True, False])
     def test_invalid_block_size(self, block_size):
@@ -365,7 +365,7 @@ class TestWYEngine:
     def test_t_diagonal_exact(self):
         g = sign_flip_mix_g()
         for blk in _kernels.plan(g, 32):
-            betas = g.betas[blk.start_index : blk.start_index + blk.block_size]
+            betas = g.betas[blk.start_index : blk.start_index + blk.t_block.shape[0]]
             assert np.array_equal(np.diag(blk.t_block), betas)
 
     # Zero tails make G the sign flip of the first k rows, on every path bit

@@ -104,7 +104,8 @@ class TestFactorCommand:
         assert code == 0
         assert "self-check: ok" in out
         residual = float(out.split("residual: ")[1].split()[0])
-        assert 1e-12 < residual <= cli._contract_bound(read_matrix(tmp_path / "a.txt"))
+        a = read_matrix(tmp_path / "a.txt")
+        assert 1e-12 < residual <= cli._contract_bound(a.shape[0], np.abs(a).max())
 
     # A residual above the contract bound still fails at subnormal scale:
     # a relative error of 1e-6 against a bound of about 3e-8.
@@ -117,7 +118,8 @@ class TestFactorCommand:
                      "--self-check"])
         captured = capsys.readouterr()
         assert code == 2
-        bound = cli._contract_bound(read_matrix(tmp_path / "a.txt"))
+        a = read_matrix(tmp_path / "a.txt")
+        bound = cli._contract_bound(a.shape[0], np.abs(a).max())
         assert 2e-8 < bound < 4e-8
         assert captured.err.startswith("self-check: FAILED (residual 1.0")
         assert captured.err.endswith(f", tolerance {bound:.3e})\n")

@@ -24,6 +24,7 @@ from bandedhh import (
     reconstruct_a,
     storage_floats,
     write_factor,
+    write_matrix,
     _kernels,
 )
 from bandedhh.factor import _band_basis, _complement_basis, _reflectors, as_matrix
@@ -409,6 +410,24 @@ class TestFactorAuto:
         assert g.count == 0 or g.bandwidth >= m // 2
 
 
+def non_finite_inputs() -> dict:
+    """Inputs with NaN or +-Inf at each position the entry check must catch."""
+    cases = {}
+    for name, bad in [("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf)]:
+        for j, where in [(0, "first"), (2, "last")]:
+            cases[f"{name} in {where} column"] = random_matrix(6, 3, seed=j)
+            cases[f"{name} in {where} column"][3, j] = bad
+        cases[f"1x1 {name}"] = np.array([[bad]])
+        cases[f"{name} beside entries above 2^1000"] = np.full((6, 3), 2.0**1010)
+        cases[f"{name} beside entries above 2^1000"][4, 1] = bad
+    cases["+inf and -inf in one column"] = random_matrix(6, 3, seed=3)
+    cases["+inf and -inf in one column"][[1, 4], 1] = [np.inf, -np.inf]
+    return cases
+
+
+NON_FINITE = non_finite_inputs()
+
+
 class TestEntryCheck:
     # Each public factor function validates its input once, then runs a
     # private pipeline that trusts it; no path goes back through the public
@@ -425,6 +444,69 @@ class TestEntryCheck:
         monkeypatch.setattr("bandedhh.factor.as_matrix", counting)
         method(random_matrix(*shape, seed=sum(shape)))
         assert len(calls) == 1
+
+    # The entry check reads the column peaks, max|a_j|, in place of a pass
+    # over every entry: a NaN or +-Inf anywhere makes its column's peak
+    # non-finite. Every entry refuses it with one message, wherever it sits.
+    @pytest.mark.parametrize("entry", [
+        factor_tall, factor_complement, factor_auto, lambda a: write_matrix(a, io.StringIO()),
+    ], ids=["factor_tall", "factor_complement", "factor_auto", "write_matrix"])
+    @pytest.mark.parametrize("case", list(NON_FINITE))
+    def test_non_finite_refused_alike(self, entry, case):
+        with pytest.raises(ValueError) as info:
+            entry(NON_FINITE[case])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "matrix entries must be finite (no NaN/Inf)"
+
+    # The checks run in one order: ndim, then finite, then m >= n.
+    @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
+    def test_check_order(self, method):
+        with pytest.raises(ShapeError, match="ndim=1"):
+            method(np.array([1.0, np.nan]))
+        with pytest.raises(ValueError) as info:
+            method(np.array([[1.0, 2.0, np.nan], [0.0, 1.0, 2.0]]))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "matrix entries must be finite (no NaN/Inf)"
+
+    # One range reduction per call: a factor function reads its input's
+    # column peaks once, on entry, and its pipeline takes the float64 shift
+    # from them. A product reads them only for an operand whose flat peak
+    # is above 2^1000.
+    @staticmethod
+    def _count_peaks(monkeypatch):
+        calls = []
+        original = _kernels.column_peaks
+
+        def counting(x):
+            calls.append(x.shape)
+            return original(x)
+
+        monkeypatch.setattr("bandedhh._kernels.column_peaks", counting)
+        return calls
+
+    @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
+    @pytest.mark.parametrize("shape", [(9, 4), (10, 9), (5, 5), (6, 0), (30, 22)])
+    def test_column_peaks_once_per_factor(self, monkeypatch, method, shape):
+        a = random_matrix(*shape, seed=sum(shape))
+        if shape == (30, 22):
+            a[:, 7] *= 2.0**1010
+        calls = self._count_peaks(monkeypatch)
+        method(a)
+        assert calls == [shape]
+
+    @pytest.mark.parametrize("product,operand", [
+        (apply, (30,)), (apply_to_matrix, (30, 4)),
+    ], ids=["apply", "apply_to_matrix"])
+    def test_column_peaks_only_for_huge_operands(self, monkeypatch, product, operand):
+        g = factor_tall(random_matrix(30, 8, seed=38)).reflectors
+        x = np.random.default_rng(39).standard_normal(operand)
+        calls = self._count_peaks(monkeypatch)
+        ordinary = product(g, x)
+        assert calls == []
+        x.flat[5] = 1e308
+        huge = product(g, x)
+        assert calls == [operand]
+        assert np.isfinite(huge).all() and not np.array_equal(huge, ordinary)
 
     @pytest.mark.parametrize("shape", [(9, 4), (10, 9), (30, 22)])
     def test_public_factor_tall_not_reentered(self, monkeypatch, shape):
@@ -1014,11 +1096,11 @@ class TestBandLeakCheck:
 
 class TestAsMatrix:
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite \(no NaN/Inf\)$"):
             as_matrix([[1.0, np.nan]])
 
     def test_rejects_inf(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite \(no NaN/Inf\)$"):
             as_matrix([[np.inf], [0.0]])
 
     def test_rejects_non_2d(self):
@@ -1026,7 +1108,8 @@ class TestAsMatrix:
             as_matrix([1.0, 2.0])
 
     def test_accepts_zero_columns(self):
-        assert as_matrix(np.zeros((3, 0))).shape == (3, 0)
+        a, peak = as_matrix(np.zeros((3, 0)))
+        assert a.shape == (3, 0) and peak.shape == (0,)
 
 
 class TestOrthogonalityDefect:
