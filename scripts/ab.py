@@ -17,16 +17,17 @@ for each kind, it prints two JSON lines: REV against itself (A/A, the
 control) and the working tree against REV. Each holds the median of the
 per-pair time ratios (second side over first), its distribution-free 95%
 interval, the pair count, the pairs the second side won, each side's median
-time in ms, and whether the two sides' outputs were bit-identical on every
-pair (write_factor bytes, product bytes, CLI stdout).
+time in ms and median minor page faults per call (this process's
+ru_minflt, read around each call), and whether the two sides' outputs were
+bit-identical on every pair (write_factor bytes, product bytes, CLI stdout).
 
-The request kinds: factor_auto at 1000x200, 1500x300, 1000x900 and
-1200x1000, and at 1000x200 with one column scaled by 1e305 (the float64
-shift path) and with columns graded by logspace(-20, 20); apply with 1 and
-with 64 columns on one 4096x512 factor; and the CLI, run in-process through
-cli.main on files written in the temporary directory: factor --self-check
-at 1000x200, whose stdout and written file are compared, and apply at
-512x64. BLAS runs one thread unless OPENBLAS_NUM_THREADS is set. Nothing
+The request kinds: factor_auto at 1000x200, 1500x300, 1000x900, 1200x1000
+and 4096x512 (apply-stream's setup), and at 1000x200 with one column
+scaled by 1e305 (the float64 shift path) and with columns graded by
+logspace(-20, 20); apply with 1 and with 64 columns on one 4096x512
+factor; and the CLI, run in-process through cli.main on files written in
+the temporary directory: factor --self-check at 1000x200, whose stdout and
+written file are compared, and apply at 512x64. BLAS runs one thread unless OPENBLAS_NUM_THREADS is set. Nothing
 is written inside the repository.
 """
 
@@ -43,6 +44,7 @@ import importlib.util
 import io
 import json
 import math
+import resource
 import statistics
 import subprocess
 import sys
@@ -159,14 +161,16 @@ def cli_factor_kind(writer, tmp: Path):
 def compare(kind, first, second, pairs: int) -> dict:
     data, bind = kind
     sides = (bind(first), bind(second))
-    times, identical = ([], []), True
+    times, faults, identical = ([], []), ([], []), True
     for i in range(pairs):
         digests = [b"", b""]
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             run, render = sides[side]
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             result = run(data)
             times[side].append(time.perf_counter() - start)
+            faults[side].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
             digests[side] = hashlib.sha256(render(result)).digest()
         identical = identical and digests[0] == digests[1]
     ratios = [b / a for a, b in zip(*times)]
@@ -178,6 +182,7 @@ def compare(kind, first, second, pairs: int) -> dict:
         "wins": sum(r < 1 for r in ratios),
         "bit_identical": identical,
         "median_ms": [round(1e3 * statistics.median(t), 4) for t in times],
+        "median_minflt": [statistics.median(f) for f in faults],
     }
 
 
@@ -200,7 +205,8 @@ def main(argv=None) -> int:
         control = load("bandedhh_base_control", tmp / "src")
         change = load("bandedhh_change", REPO / "src")
         kinds = {f"factor_auto {m}x{n}": factor_kind(rng(m, n).standard_normal((m, n)))
-                 for m, n in ((1000, 200), (1500, 300), (1000, 900), (1200, 1000))}
+                 for m, n in ((1000, 200), (1500, 300), (1000, 900), (1200, 1000),
+                              (4096, 512))}
         a = rng(1000, 200).standard_normal((1000, 200))
         huge = a.copy()
         huge[:, 7] *= 1e305

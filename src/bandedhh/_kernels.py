@@ -22,6 +22,13 @@ The same block loop also applies the unbanded reflectors of a LAPACK QR
 its complement basis that way. It takes the V of its own reflectors from
 band_vt, the layout the plan's blocks use, and needs no T and no plan.
 
+Every QR of the package runs here, through geqrf and orgqr: LAPACK dgeqrf
+and dorgqr, in place, on a buffer the caller owns. An m x n matrix in
+Fortran order is a C-contiguous n x m array h, so the caller writes the
+matrix transposed into h once and reads R, the reflectors or Q straight
+out of it. np.linalg.qr gives the same bits (the same LAPACK and the same
+workspace) but copies its input twice on the way in and once on the way out.
+
 Each block forms V'x before it scales by T, which overflows near half the
 largest double although G is orthogonal. This module holds the one
 float64-range rule: in_range shifts each column whose peak exceeds 2^1000
@@ -45,6 +52,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 BLOCK_SIZE = 32
 
@@ -130,13 +138,55 @@ def plan(g, block_size: int = BLOCK_SIZE) -> tuple[BlockedWY, ...]:
     return blocks
 
 
+def _lapack(routine, *args) -> None:
+    """routine(*args, work, lwork, info) after a workspace query, or LinAlgError."""
+    work = np.empty(1)
+    routine(*args, work, -1, 0)
+    lwork = max(1, int(work[0]))
+    info = routine(*args, np.empty(lwork), lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__} returned info = {info}")
+
+
+def geqrf(h: np.ndarray) -> np.ndarray:
+    """Householder QR, in place, of the m x n matrix h holds; returns tau.
+
+    h is a C-contiguous float64 n x m array: the m x n matrix in Fortran
+    order, h = a.T for the a factored. Afterwards h holds what
+    np.linalg.qr(a, mode="raw") returns as h, bit for bit: row j is column
+    j of R up to the diagonal, then the tail of reflection j. lapack_lite
+    raises LapackError on a buffer that is not C-contiguous float64, so no
+    layout is ever copied silently; it does not check that h is writeable.
+    numpy's own API tests list numpy.linalg.lapack_lite as private but
+    present. Unlike np.linalg.qr, it holds the GIL while LAPACK runs:
+    another Python thread advanced for about one switch interval (5 ms)
+    during a 290 ms dgeqrf at 4096x1024, and through the whole of
+    np.linalg.qr.
+    """
+    n, m = h.shape
+    tau = np.empty(min(m, n))
+    _lapack(lapack_lite.dgeqrf, m, n, h, max(1, m), tau)
+    return tau
+
+
+def orgqr(h: np.ndarray, tau: np.ndarray) -> None:
+    """Overwrite geqrf's output h with the first n columns of Q, in place.
+
+    h is n x m with n <= m, as geqrf left it, so afterwards h.T is the Q
+    of np.linalg.qr(a) (mode "reduced"), bit for bit.
+    """
+    n, m = h.shape
+    _lapack(lapack_lite.dorgqr, m, n, len(tau), h, max(1, m), tau)
+
+
 def raw_blocks(h: np.ndarray, tau: np.ndarray):
-    """WY blocks of the reflectors in np.linalg.qr(a, mode="raw"), last to first.
+    """WY blocks of the reflectors geqrf left in h, last to first.
 
     h is n x m: reflection j has a unit pivot at row j and its tail in
-    h[j, j + 1:]. Block [s, e) has V' = triu(h[s:e, s:], 1) with a unit
-    diagonal, (e - s) x (m - s). Blocks are built one at a time as the
-    caller consumes them, so only one is held at once.
+    h[j, j + 1:], so each block copies contiguous rows. Block [s, e) has
+    V' = triu(h[s:e, s:], 1) with a unit diagonal, (e - s) x (m - s).
+    Blocks are built one at a time as the caller consumes them, so only one
+    is held at once.
     """
     n = h.shape[0]
     for s in range(((n - 1) // BLOCK_SIZE) * BLOCK_SIZE, -1, -BLOCK_SIZE):

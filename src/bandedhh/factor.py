@@ -210,13 +210,15 @@ def factor_tall(a) -> CompactSubspaceFactor:
 
     X comes from the QR of the bottom n x n block of a alone (rotated by
     180 degrees), so a X costs that small QR plus one GEMM over the top
-    m - n rows. Both Householder steps are LAPACK dgeqrf through
-    np.linalg.qr, and the banded QR reads its reflectors straight from
-    mode="raw". The input is validated once, on entry, and left unchanged,
-    and a C-ordered float64 input is not copied beforehand. That check is
-    one pass for the column peaks, max|a_j| (as_matrix). Intermediates,
-    the complement path's U2 included, are not validated again. The free
-    entries are read from LAPACK's output through one skewed strided view.
+    m - n rows. Both Householder steps are LAPACK dgeqrf, run in place by
+    _kernels.geqrf on buffers the pipeline owns: the block QR on one n x n
+    copy, the banded QR on the band form itself, from which its reflectors
+    are read straight. The input is validated once, on entry, and left
+    unchanged, and a C-ordered float64 input is not copied beforehand. That
+    check is one pass for the column peaks, max|a_j| (as_matrix).
+    Intermediates, the complement path's U2 included, are not validated
+    again. The free entries are read from LAPACK's output through one
+    skewed strided view.
 
     dlarfg scales its norms, so nothing underflows. Overflow follows the
     apply engine's one rule (_kernels.in_range): the pipeline runs on a
@@ -256,16 +258,16 @@ def _tall(a: np.ndarray, peak: np.ndarray) -> CompactSubspaceFactor:
         return CompactSubspaceFactor(BandedReflectors(np.zeros((n, 0))), -a, Placement.TOP)
     a, e = _kernels.in_range(a, peak)
     band, x = _band_basis(a)
-    h, tau = np.linalg.qr(band, mode="raw")
-    del band  # so that band, h and the free entries' copy never coexist
+    h = band.T  # the banded QR overwrites the band in place
+    tau = _kernels.geqrf(h)
     g = _reflectors(h)
-    core = np.triu(h[:, :n].T) @ x.T
+    core = np.triu(np.ascontiguousarray(h[:, :n].T)) @ x.T
     core[tau == 0.0] *= -1.0  # the rows whose skipped reflection is a sign flip
     return CompactSubspaceFactor(g, _fits(core, e), Placement.TOP)
 
 
 def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Band form a X of a tall a, and the orthogonal n x n X, C-ordered.
+    """Band form a X of a tall a, Fortran-ordered, and the orthogonal n x n X.
 
     With w = m - n and P the reversal, the QR of the rotated bottom block,
     P a[w:]' P = Q R, gives X = P Q P, and a[w:] X = P R' P is upper
@@ -274,26 +276,35 @@ def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     written that way, X = I (an already triangular block, whose
     reflections LAPACK skips) passes them through bit for bit, -0.0
     included, where a[:w] X would turn -0.0 into 0.0.
+
+    The block's QR runs in place on one n x n copy of P a[w:] P, which is
+    the rotated block in Fortran order. band is the transpose of a
+    C-contiguous n x m buffer, so band.T is ready for geqrf. X is C-ordered,
+    and so is the GEMM, into a w x n temporary: computed on transposed
+    operands, its last bits differ at 60x25, 200x50 and 1500x300.
     """
     m, n = a.shape
     w = m - n
-    q, r = np.linalg.qr(a[w:][::-1, ::-1].T)
-    x = np.ascontiguousarray(q[::-1, ::-1])
-    band = np.empty((m, n))
-    band[w:] = r.T[::-1, ::-1]
-    np.matmul(a[:w], np.eye(n) - x, out=band[:w])
-    np.subtract(a[:w], band[:w], out=band[:w])
-    return band, x
+    h = a[w:][::-1, ::-1].copy()
+    tau = _kernels.geqrf(h)
+    bt = np.empty((n, m))
+    bt[:, w:] = np.triu(h.T)[::-1, ::-1]
+    _kernels.orgqr(h, tau)
+    x = np.ascontiguousarray(h.T[::-1, ::-1])
+    top = a[:w] @ (np.eye(n) - x)
+    np.subtract(a[:w].T, top.T, out=bt[:, :w])
+    return bt.T, x
 
 
 def _reflectors(h: np.ndarray) -> BandedReflectors:
-    """The reflectors in h, from np.linalg.qr(band, mode="raw") of a band form.
+    """The reflectors in h, the raw QR (geqrf) of a band form.
 
     band is m x n and zero below row col + m - n; h is LAPACK's output
     transposed, n x m: row i holds column i of R up to the diagonal, then
-    the tail of reflection i. The first m - n tail entries are the free
-    entries; the rest, h[i, i+1+w:], are structural zeros and exact by
-    construction. band comes from input whose columns peak at or below
+    the tail of reflection i. Any layout of h works; geqrf's is
+    C-contiguous, so the skewed read below walks contiguous rows. The
+    first m - n tail entries are the free entries; the rest,
+    h[i, i+1+w:], are structural zeros and exact by construction. band comes from input whose columns peak at or below
     2^1000, so the QR cannot overflow, and a nonzero below the band can
     only be a band defect.
     """
@@ -309,9 +320,14 @@ def _reflectors(h: np.ndarray) -> BandedReflectors:
 
 
 def _complement_basis(a: np.ndarray) -> np.ndarray:
-    """U2 = H_1 ... H_n (0; I_{m-n}): the last m - n columns of the Q of a."""
+    """U2 = H_1 ... H_n (0; I_{m-n}): the last m - n columns of the Q of a.
+
+    The QR runs in place on a.T copied, a in Fortran order, so each WY block
+    of raw_blocks copies contiguous rows of it.
+    """
     m, n = a.shape
-    h, tau = np.linalg.qr(a, mode="raw")
+    h = a.T.copy()
+    tau = _kernels.geqrf(h)
     u2 = np.eye(m, m - n, -n)
     return _kernels.apply_blocks(_kernels.raw_blocks(h, tau), u2, transpose=False)
 
@@ -319,9 +335,10 @@ def _complement_basis(a: np.ndarray) -> np.ndarray:
 def factor_complement(a) -> CompactSubspaceFactor:
     """Factor a = G (0; B) through the orthogonal complement of range(a).
 
-    The complement basis comes from a raw QR of a (LAPACK dgeqrf, no Q
-    formed): U2 = H_1 ... H_n (0; I_{m-n}), the last m - n columns of Q
-    only, built by applying the n reflectors in WY blocks of BLOCK_SIZE
+    The complement basis comes from a raw QR of a (LAPACK dgeqrf, run in
+    place on one transposed copy of a, no Q formed):
+    U2 = H_1 ... H_n (0; I_{m-n}), the last m - n columns of Q only, built
+    by applying the n reflectors in WY blocks of BLOCK_SIZE
     from the last block to the first. On top of the QR that costs at most
     4 m n (m - n) flops for the updates and 2 b m n for the b x b T
     factors (b = BLOCK_SIZE), never the m x m Q.
@@ -361,10 +378,14 @@ def _complement(a: np.ndarray, peak: np.ndarray) -> CompactSubspaceFactor:
         return CompactSubspaceFactor(BandedReflectors(np.zeros((0, m))), a, Placement.BOTTOM)
     k = m - n
     a, e = _kernels.in_range(a, peak)
-    g = _reflectors(np.linalg.qr(_band_basis(_complement_basis(a))[0], mode="raw")[0])
-    # B = a[k:] - V2 V1^-1 a[:k], from the vanishing top rows of G' a. V' is
-    # freed before the factor copies B. W = V1^-1 a[:k] is not bounded by a,
-    # so an overflow there is left to _fits.
+    h = _band_basis(_complement_basis(a))[0].T
+    _kernels.geqrf(h)
+    g = _reflectors(h)
+    del h
+    # B = a[k:] - V2 V1^-1 a[:k], from the vanishing top rows of G' a. The
+    # banded QR's buffer is freed before the solve and V' before the factor
+    # copies B. W = V1^-1 a[:k] is not bounded by a, so an overflow there is
+    # left to _fits.
     vt = _kernels.band_vt(g.free_entries)
     with np.errstate(over="ignore", invalid="ignore"):
         core = vt[:, k:].T @ np.linalg.solve(vt[:, :k].T, a[:k])

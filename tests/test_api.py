@@ -139,6 +139,9 @@ def test_ab_script():
     first_bytes, second_bytes = (ab["factor_bytes"](pkg, pkg.factor_tall(a))
                                  for pkg in (first, second))
     assert first_bytes == second_bytes == ab["factor_bytes"](bandedhh, bandedhh.factor_tall(a))
+    row = ab["compare"](ab["factor_kind"](a), first, second, 6)
+    assert row["pairs"] == 6 and row["bit_identical"] is True
+    assert len(row["median_minflt"]) == 2 and min(row["median_minflt"]) >= 0
     env = ab["environment"]()
     assert list(env) == ["numpy", "blas", "OPENBLAS_NUM_THREADS", "cpu_count"]
     assert env["numpy"] == np.__version__

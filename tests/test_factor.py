@@ -920,9 +920,10 @@ def _pin_matrix(case):
 
 
 class TestViewPipelinePin:
-    # LAPACK reads reversed views, the band basis is written into one
-    # preallocated array and the free entries come from a skewed view; the
-    # output must equal that of the copying pipeline bit for bit.
+    # LAPACK runs in place on buffers the pipeline fills (_kernels.geqrf),
+    # and the free entries come from a skewed view; the output must equal
+    # that of the copying pipeline, np.linalg.qr on explicit copies, bit
+    # for bit.
     @pytest.mark.parametrize("case", list(_PIN_CASES))
     def test_tall_matches_copying_pipeline(self, case):
         a = _pin_matrix(case)
@@ -1042,8 +1043,8 @@ class TestBandBasisEdgeCases:
 
 
 class TestInputLayouts:
-    # LAPACK reads views of the validated input, so the memory layout and
-    # dtype of the caller's array must change neither the output nor the
+    # The pipelines read views of the validated input, so the memory layout
+    # and dtype of the caller's array must change neither the output nor the
     # array itself.
     @staticmethod
     def _layouts(m, n, seed):
@@ -1127,8 +1128,81 @@ class TestOrthogonalityDefect:
         assert orthogonality_defect(q) <= 1e-13 * np.sqrt(5)
 
 
+def _handoff_input(case):
+    rng = np.random.default_rng(44)
+    if case == "triangular":
+        return np.triu(rng.standard_normal((8, 5)))
+    if case == "-0.0 pivots":
+        a = rng.standard_normal((7, 4))
+        a[:, 0] = [-0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0]  # a zero column as well
+        a[1, 1] = a[2, 2] = a[3, 3] = -0.0
+        return a
+    if case == "rank 2":
+        return rng.standard_normal((10, 2)) @ rng.standard_normal((2, 6))
+    return rng.standard_normal(case)
+
+
+class TestLapackHandoff:
+    # _kernels.geqrf and orgqr run dgeqrf and dorgqr in place on the
+    # transposed buffer; np.linalg.qr, which copies around the same calls,
+    # is the reference bit for bit.
+    CASES = [(5, 0), (0, 0), (1, 1), (7, 1), (6, 6), (9, 4), "triangular", "-0.0 pivots",
+             "rank 2"]
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_matches_numpy_qr(self, case):
+        a = _handoff_input(case)
+        n = a.shape[1]
+        h_ref, tau_ref = np.linalg.qr(a, mode="raw")
+        q_ref, r_ref = np.linalg.qr(a)
+        h = a.T.copy()
+        tau = _kernels.geqrf(h)
+        assert h.shape == h_ref.shape and np.array_equal(_bits(h), _bits(h_ref))
+        assert np.array_equal(_bits(tau), _bits(tau_ref))
+        assert np.array_equal(_bits(np.triu(h.T[:n])), _bits(r_ref))
+        _kernels.orgqr(h, tau)
+        assert np.array_equal(_bits(h.T), _bits(q_ref))
+
+    def test_triangular_input_is_skipped(self):
+        a = _handoff_input("triangular")
+        h = a.T.copy()
+        assert not _kernels.geqrf(h).any()
+        assert np.array_equal(_bits(h), _bits(a.T))
+
+    # lapack_lite refuses any buffer that is not C-contiguous, and leaves it
+    # as it was: nothing is copied behind the caller's back.
+    @pytest.mark.parametrize("layout", [
+        lambda a: a.T,
+        lambda a: np.asfortranarray(a.T),
+        lambda a: np.vstack([a.T, a.T])[::2],
+    ], ids=["transposed view", "fortran", "row-strided"])
+    def test_layout_guard_raises(self, layout):
+        from numpy.linalg.lapack_lite import LapackError
+
+        h = layout(random_matrix(9, 4, 45))
+        before = h.copy()
+        with pytest.raises(LapackError, match="not contiguous"):
+            _kernels.geqrf(h)
+        with pytest.raises(LapackError, match="not contiguous"):
+            _kernels.orgqr(h, np.zeros(h.shape[0]))
+        assert np.array_equal(h, before)
+
+
+class TestNoNumpyQR:
+    # Every QR of the three factor functions goes through _kernels.geqrf.
+    @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
+    @pytest.mark.parametrize("m,n", [(40, 12), (40, 30), (12, 12), (6, 0)])
+    def test_factors_without_numpy_qr(self, method, m, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        a = random_matrix(m, n, m + n)
+        assert rel_err(reconstruct_a(method(a)), a) <= 1e-12
+
+
 class TestHouseholderQR:
-    """The banded QR stage of factor_tall, LAPACK dgeqrf via np.linalg.qr.
+    """The banded QR stage of factor_tall, LAPACK dgeqrf run in place (_kernels.geqrf).
 
     Its reflectors are the stored free entries; its R times X', the
     rotation that puts the input in band form, is the core, with the row of
