@@ -31,21 +31,20 @@ workspace) but copies its input twice on the way in and once on the way out.
 
 Each block forms V'x before it scales by T, which overflows near half the
 largest double although G is orthogonal. This module holds the one
-float64-range rule: in_range shifts each column whose peak exceeds 2^1000
-by the power of two that brings that peak just under it, and leaves every
-other column as it is, bit for bit. It takes the peaks from column_peaks,
-the one pass that reads an input's range. A factor call computes them once,
-on entry (factor.as_matrix, where they are also the finite check), and its
-pipelines (factor._tall and factor._complement) run on a shifted input and
-shift only the finished core back. apply_plan has no peaks in hand: a flat
-max/min pass first lets an operand within 2^1000 skip them, and any other
-operand is shifted so and its product shifted back. Below 2^1000 per
-column, no intermediate of either can overflow: each is bounded by about
-sqrt(m n) 2^1000, since every G has betas in [1, 2], up to rounding
-(BandedReflectors' tail rule). Columns never mix under G, so the shift
-is exact except for the entries below 2^-998 of a shifted column, which
-fall subnormal and lose bits (at most 2^-1998 of that column's peak). NaN
-and Inf never trigger it.
+float64-range rule, in_range: an input whose flat peak max|x| is at most
+2^1000 is used as it is, bit for bit; otherwise each column whose own peak
+exceeds 2^1000 is shifted by the power of two that brings that peak just
+under it, and every other column keeps its bits. The caller reads the flat
+peak (max_abs) once: a factor call on entry (factor.as_matrix, where it is
+also the finite check), a product in apply_plan. The factor pipelines
+(factor._tall and factor._complement) run on the shifted input and shift
+only the finished core back; apply_plan shifts its product back. Below
+2^1000 per column, no intermediate of either can overflow: each is bounded
+by about sqrt(m n) 2^1000, since every G has betas in [1, 2], up to
+rounding (BandedReflectors' tail rule). Columns never mix under G, so the
+shift is exact except for the entries below 2^-998 of a shifted column,
+which fall subnormal and lose bits (at most 2^-1998 of that column's
+peak). NaN and Inf never trigger it.
 """
 
 import math
@@ -214,25 +213,32 @@ def apply_blocks(blocks, x: np.ndarray, transpose: bool) -> np.ndarray:
     return x
 
 
-def column_peaks(x: np.ndarray) -> np.ndarray:
-    """max|x| of each column, from one max pass and one min pass.
+def max_abs(x: np.ndarray) -> float:
+    """max|x| over every entry, from one max pass and one min pass.
 
-    A vector is one column. A column holding NaN peaks at NaN, one holding
-    +-Inf at Inf, so np.isfinite(column_peaks(x)).all() checks every entry.
+    It is NaN if x holds a NaN, else Inf if x holds +-Inf, and 0.0 for an
+    empty x, so np.isfinite(max_abs(x)) checks every entry.
     """
-    return np.maximum(x.max(axis=0, initial=0.0), -x.min(axis=0, initial=0.0))
+    return max(x.max(initial=0.0), -x.min(initial=0.0))
 
 
-def in_range(x: np.ndarray, peak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def in_range(x: np.ndarray, peak: float) -> tuple[np.ndarray, np.ndarray | None]:
     """x brought into range, and the shift: (x 2^-e, e), one e per column.
 
-    peak is column_peaks(x). A column whose peak exceeds 2^1000 is shifted
-    to just under it; every other column gets e = 0 and keeps its bits.
-    When no column is shifted, x itself is returned; otherwise the shifted
-    x is a new array and x is left as it is.
+    peak is max_abs(x). When it is at most 2^1000, x itself comes back with
+    e = None, and no column is read again. Otherwise, and so also when peak
+    is NaN, each column whose own peak exceeds 2^1000 is shifted to just
+    under it: the shifted x is a new array, x is left as it is, and e is 0
+    in every other column. When no finite column peak exceeds 2^1000 (x
+    holds NaN or Inf), x and None come back.
     """
+    if peak <= 2.0**1000:
+        return x, None
+    # The per-column pass costs ~3x the flat one on tall C-ordered x, so
+    # only an operand above the limit, or with a NaN, pays for it.
+    peak = np.maximum(x.max(axis=0, initial=0.0), -x.min(axis=0, initial=0.0))
     e = np.where((2.0**1000 < peak) & (peak < np.inf), np.frexp(peak)[1] - 1000, 0)
-    return (np.ldexp(x, -e) if e.any() else x), e
+    return (np.ldexp(x, -e), e) if e.any() else (x, None)
 
 
 def apply_plan(g, x: np.ndarray, transpose: bool, block_size: int = BLOCK_SIZE) -> np.ndarray:
@@ -241,10 +247,6 @@ def apply_plan(g, x: np.ndarray, transpose: bool, block_size: int = BLOCK_SIZE) 
     The product is computed in place, in x itself or, when in_range shifts
     a column, in the shifted copy, and that array is returned.
     """
-    blocks = plan(g, block_size)[:: 1 if transpose else -1]
-    # column_peaks costs ~3x one flat max/min pass, so it runs only when the
-    # flat peak is above 2^1000 or not a number at all; ldexp by 0 is exact.
-    if max(x.max(initial=0.0), -x.min(initial=0.0)) <= 2.0**1000:
-        return apply_blocks(blocks, x, transpose)
-    x, e = in_range(x, column_peaks(x))
-    return np.ldexp(apply_blocks(blocks, x, transpose), e, out=x)
+    x, e = in_range(x, max_abs(x))
+    x = apply_blocks(plan(g, block_size)[:: 1 if transpose else -1], x, transpose)
+    return x if e is None else np.ldexp(x, e, out=x)

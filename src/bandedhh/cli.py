@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import storage
+from . import _kernels, storage
 from .apply import apply, apply_transpose
 from .factor import (
     ShapeError,
@@ -59,7 +59,7 @@ def _record(f) -> bytes:
 def _cmd_factor(args) -> int:
     a = storage.read_matrix(args.input)
     f = _MODES[args.mode](a)
-    peak = max(a.max(initial=0.0), -a.min(initial=0.0))  # max|a|, with no m x n temporary
+    peak = _kernels.max_abs(a)  # the factor functions do not return theirs
     residual = _relative_residual(reconstruct_a(f), a, peak)
     record = _record(f)
     with open(args.output, "wb") as fh:

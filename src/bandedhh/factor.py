@@ -48,21 +48,22 @@ def _floats(x, copy: bool) -> np.ndarray:
     return (np.array if copy else np.asarray)(x, dtype=np.float64, order="C")
 
 
-def as_matrix(a) -> tuple[np.ndarray, np.ndarray]:
-    """a as a validated 2-D float64 C-ordered matrix, and its column peaks.
+def as_matrix(a) -> tuple[np.ndarray, float]:
+    """a as a validated 2-D float64 C-ordered matrix, and its peak max|a|.
 
     Rejects complex input, anything that is not two-dimensional and any
     NaN/Inf entry; all downstream invariants assume finite arithmetic. The
-    peaks, max|a_j| per column j (_kernels.column_peaks), are the one pass
-    over a for its range: a NaN or Inf entry makes its column's peak
-    non-finite, so checking the n peaks checks every entry, and the factor
-    pipelines take their float64 shift (_kernels.in_range) from them.
+    peak (_kernels.max_abs, one flat max pass and one min pass) is the one
+    read of a for its range: a NaN or Inf entry makes it non-finite, so
+    checking it checks every entry, and the factor pipelines hand it to the
+    float64 shift (_kernels.in_range), which reads a again only when the
+    peak exceeds 2^1000.
     """
     out = _floats(a, copy=False)
     if out.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={out.ndim}")
-    peak = _kernels.column_peaks(out)
-    if not np.isfinite(peak).all():
+    peak = _kernels.max_abs(out)
+    if not np.isfinite(peak):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return out, peak
 
@@ -179,8 +180,8 @@ class CompactSubspaceFactor:
             )
 
 
-def _checked(a, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The input of the factor function name, and its column peaks.
+def _checked(a, name: str) -> tuple[np.ndarray, float]:
+    """The input of the factor function name, and its peak max|a|.
 
     That is as_matrix(a), with m >= n checked after it, so a NaN in a
     2 x 3 input raises the finite ValueError, not ShapeError.
@@ -191,10 +192,10 @@ def _checked(a, name: str) -> tuple[np.ndarray, np.ndarray]:
     return a, peak
 
 
-def _fits(core: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """core times 2^e per column, or a ValueError if that overflows float64."""
+def _fits(core: np.ndarray, e: np.ndarray | None) -> np.ndarray:
+    """core times 2^e per column (e None: no shift), or a ValueError on float64 overflow."""
     with np.errstate(over="ignore"):
-        core = np.ldexp(core, e, out=core) if e.any() else core
+        core = core if e is None else np.ldexp(core, e, out=core)
     if not np.isfinite(core).all():
         raise ValueError("the factor of this matrix overflows float64")
     return core
@@ -215,26 +216,26 @@ def factor_tall(a) -> CompactSubspaceFactor:
     copy, the banded QR on the band form itself, from which its reflectors
     are read straight. The input is validated once, on entry, and left
     unchanged, and a C-ordered float64 input is not copied beforehand. That
-    check is one pass for the column peaks, max|a_j| (as_matrix).
+    check is one flat pass for the peak, max|a| (as_matrix).
     Intermediates, the complement path's U2 included, are not validated
     again. The free entries are read from LAPACK's output through one
     skewed strided view.
 
     dlarfg scales its norms, so nothing underflows. Overflow follows the
-    apply engine's one rule (_kernels.in_range): the pipeline runs on a
-    with each column whose peak exceeds 2^1000 shifted by a power of two to
-    just under it, so no intermediate overflows, and only the finished core
-    is shifted back. The shift comes from the column peaks that the entry
-    check read, so finding it costs no second pass over a. Column j of the
-    core has the 2-norm of column j of a, so the core can overflow only
-    when a column's 2-norm exceeds the largest double. Then a ValueError
-    names the float64 overflow, and no non-finite factor is returned. Sign
-    convention: v = x + sign(x[0]) ||x|| e1 with sign() read from the sign
-    bit, so a -0.0 pivot counts as negative. A column that is already zero
-    below its pivot, which LAPACK skips (tau = 0), keeps its zero tail and
-    so becomes the sign flip of its row (beta = 2). Later reflections never
-    touch that row, so the flip commutes with them, and that row of the
-    core is negated to match.
+    apply engine's one rule (_kernels.in_range): when max|a| exceeds 2^1000,
+    the pipeline runs on a with each column whose peak exceeds 2^1000
+    shifted by a power of two to just under it, so no intermediate
+    overflows, and only the finished core is shifted back. Below 2^1000
+    the entry check's flat peak settles it, with no second pass over a.
+    Column j of the core has the 2-norm of column j of a, so the core can
+    overflow only when a column's 2-norm exceeds the largest double. Then
+    a ValueError names the float64 overflow, and no non-finite factor is
+    returned. Sign convention: v = x + sign(x[0]) ||x|| e1 with sign() read
+    from the sign bit, so a -0.0 pivot counts as negative. A column that is
+    already zero below its pivot, which LAPACK skips (tau = 0), keeps its
+    zero tail and so becomes the sign flip of its row (beta = 2). Later
+    reflections never touch that row, so the flip commutes with them, and
+    that row of the core is negated to match.
 
     Accuracy: with both sides divided by max|a| first, so that neither norm
     underflows, ||reconstruct_a(f) - a||_F / ||a||_F is at most 1e-12 +
@@ -247,23 +248,33 @@ def factor_tall(a) -> CompactSubspaceFactor:
     LAPACK and BLAS build with the same BLAS thread count.
 
     Square input short-circuits to G = -I (n reflections with empty tails)
-    and B = -a, bit-exactly.
+    and B = -a, bit-exactly, and m x 0 input to G = I (no reflections of
+    bandwidth m) and an empty B; neither runs a QR.
     """
     return _tall(*_checked(a, "factor_tall"))
 
 
-def _tall(a: np.ndarray, peak: np.ndarray) -> CompactSubspaceFactor:
+def _tall(a: np.ndarray, peak: float) -> CompactSubspaceFactor:
     m, n = a.shape
-    if m == n:
-        return CompactSubspaceFactor(BandedReflectors(np.zeros((n, 0))), -a, Placement.TOP)
+    if n in (0, m):
+        return CompactSubspaceFactor(BandedReflectors(np.zeros((n, m - n))), -a[:n], Placement.TOP)
     a, e = _kernels.in_range(a, peak)
-    band, x = _band_basis(a)
-    h = band.T  # the banded QR overwrites the band in place
-    tau = _kernels.geqrf(h)
-    g = _reflectors(h)
+    g, h, tau, x = _banded_qr(a)
     core = np.triu(np.ascontiguousarray(h[:, :n].T)) @ x.T
     core[tau == 0.0] *= -1.0  # the rows whose skipped reflection is a sign flip
     return CompactSubspaceFactor(g, _fits(core, e), Placement.TOP)
+
+
+def _banded_qr(a: np.ndarray):
+    """G of a tall a, from the banded QR of its band form, with what _tall reads.
+
+    Returns (g, h, tau, x): the reflectors, geqrf's n x m output and tau,
+    which overwrote the band form a X in place, and X (see _band_basis).
+    """
+    band, x = _band_basis(a)
+    h = band.T
+    tau = _kernels.geqrf(h)
+    return _reflectors(h), h, tau, x
 
 
 def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,16 +308,17 @@ def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reflectors(h: np.ndarray) -> BandedReflectors:
-    """The reflectors in h, the raw QR (geqrf) of a band form.
+    """The reflectors in h, geqrf's output for an m x n band form.
 
-    band is m x n and zero below row col + m - n; h is LAPACK's output
-    transposed, n x m: row i holds column i of R up to the diagonal, then
-    the tail of reflection i. Any layout of h works; geqrf's is
-    C-contiguous, so the skewed read below walks contiguous rows. The
-    first m - n tail entries are the free entries; the rest,
-    h[i, i+1+w:], are structural zeros and exact by construction. band comes from input whose columns peak at or below
-    2^1000, so the QR cannot overflow, and a nonzero below the band can
-    only be a band defect.
+    The band form is zero below row col + m - n; h is that matrix in
+    Fortran order, n x m, as geqrf overwrote it: row i holds column i of R
+    up to the diagonal, then the tail of reflection i. Any layout of h
+    works; geqrf's is C-contiguous, so the skewed read below walks
+    contiguous rows. The first m - n tail entries are the free entries;
+    the rest, h[i, i+1+w:], are structural zeros and exact by
+    construction. The band form comes from input whose columns peak at or
+    below 2^1000, so the QR cannot overflow, and a nonzero below the band
+    can only be a band defect.
     """
     n, m = h.shape
     w = m - n
@@ -315,8 +327,7 @@ def _reflectors(h: np.ndarray) -> BandedReflectors:
     # Free entries of reflection i are h[i, i + 1 : i + 1 + w]: stepping one
     # row and one column per reflection reads them all through one view,
     # whose last entry is h[n - 1, m - 1]. BandedReflectors copies it.
-    s0, s1 = h.strides
-    return BandedReflectors(as_strided(h[:, 1:], (n, w), (s0 + s1, s1)))
+    return BandedReflectors(as_strided(h[:, 1:], (n, w), (sum(h.strides), h.strides[1])))
 
 
 def _complement_basis(a: np.ndarray) -> np.ndarray:
@@ -355,15 +366,17 @@ def factor_complement(a) -> CompactSubspaceFactor:
     about 4 k m n. This is the identity behind Householder
     reconstruction (Ballard et al., IPDPS 2014). When
     m - n <= n, the shape factor_auto sends here, the traced peak memory
-    is at most about twice the input: the core and the factor's copy of
-    it. Otherwise U2 and its factoring outgrow the input (996 columns at
-    1000 x 4): call factor_tall instead.
+    stays near twice the input, chiefly the core and the factor's copy of
+    it (2.12x at 1000 x 996, 1.94x at 1200 x 1000). Otherwise U2 and its
+    factoring outgrow the input (996 columns at 1000 x 4): call
+    factor_tall instead.
 
-    Square input short-circuits to an empty G and B = a, bit-exactly. For
+    Square input short-circuits to an empty G and B = a, bit-exactly, and
+    m x 0 input to m sign flips (bandwidth 0) and an empty B. For
     numerically rank-deficient input the complement basis is not unique,
     so neither is the output, but the reconstruction contract still holds.
-    The input is validated once, on entry, and its columns are shifted
-    below 2^1000 as factor_tall describes, by the peaks that check read.
+    The input is validated once, on entry, and when its peak exceeds
+    2^1000 its columns are shifted below it as factor_tall describes.
     The shift leaves range(a), on which G depends, unchanged, and the core
     solve acts column by column, so only the finished core is shifted back.
     It raises factor_tall's ValueError when that core, or the solve for W,
@@ -372,20 +385,17 @@ def factor_complement(a) -> CompactSubspaceFactor:
     return _complement(*_checked(a, "factor_complement"))
 
 
-def _complement(a: np.ndarray, peak: np.ndarray) -> CompactSubspaceFactor:
+def _complement(a: np.ndarray, peak: float) -> CompactSubspaceFactor:
     m, n = a.shape
-    if m == n:
-        return CompactSubspaceFactor(BandedReflectors(np.zeros((0, m))), a, Placement.BOTTOM)
     k = m - n
+    if n in (0, m):
+        return CompactSubspaceFactor(BandedReflectors(np.zeros((k, n))), a[k:], Placement.BOTTOM)
     a, e = _kernels.in_range(a, peak)
-    h = _band_basis(_complement_basis(a))[0].T
-    _kernels.geqrf(h)
-    g = _reflectors(h)
-    del h
-    # B = a[k:] - V2 V1^-1 a[:k], from the vanishing top rows of G' a. The
-    # banded QR's buffer is freed before the solve and V' before the factor
-    # copies B. W = V1^-1 a[:k] is not bounded by a, so an overflow there is
-    # left to _fits.
+    g = _banded_qr(_complement_basis(a))[0]
+    # B = a[k:] - V2 V1^-1 a[:k], from the vanishing top rows of G' a. Only
+    # g of the banded QR is kept, so its buffer is freed before the solve,
+    # and V' is freed before the factor copies B. W = V1^-1 a[:k] is not
+    # bounded by a, so an overflow there is left to _fits.
     vt = _kernels.band_vt(g.free_entries)
     with np.errstate(over="ignore", invalid="ignore"):
         core = vt[:, k:].T @ np.linalg.solve(vt[:, :k].T, a[:k])

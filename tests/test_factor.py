@@ -468,45 +468,58 @@ class TestEntryCheck:
         assert type(info.value) is ValueError
         assert str(info.value) == "matrix entries must be finite (no NaN/Inf)"
 
-    # One range reduction per call: a factor function reads its input's
-    # column peaks once, on entry, and its pipeline takes the float64 shift
-    # from them. A product reads them only for an operand whose flat peak
-    # is above 2^1000.
+    # One range rule for factors and products: the caller reads the flat
+    # peak max|x| once, and _kernels.in_range reads the columns again only
+    # when that peak exceeds 2^1000. Below it, in_range hands its input back
+    # unshifted; above it, only the column above the limit is shifted, into
+    # a new array. Each call is recorded as (x itself returned, e, x 2^-e
+    # shifted back equals x), read before a product overwrites its operand.
     @staticmethod
-    def _count_peaks(monkeypatch):
+    def _record_in_range(monkeypatch):
         calls = []
-        original = _kernels.column_peaks
+        original = _kernels.in_range
 
-        def counting(x):
-            calls.append(x.shape)
-            return original(x)
+        def recording(x, peak):
+            out, e = original(x, peak)
+            back = out if e is None else np.ldexp(out, e)
+            calls.append((out is x, e, np.array_equal(back, x)))
+            return out, e
 
-        monkeypatch.setattr("bandedhh._kernels.column_peaks", counting)
+        monkeypatch.setattr("bandedhh._kernels.in_range", recording)
         return calls
 
-    @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
-    @pytest.mark.parametrize("shape", [(9, 4), (10, 9), (5, 5), (6, 0), (30, 22)])
-    def test_column_peaks_once_per_factor(self, monkeypatch, method, shape):
-        a = random_matrix(*shape, seed=sum(shape))
-        if shape == (30, 22):
-            a[:, 7] *= 2.0**1010
-        calls = self._count_peaks(monkeypatch)
-        method(a)
-        assert calls == [shape]
-
-    @pytest.mark.parametrize("product,operand", [
-        (apply, (30,)), (apply_to_matrix, (30, 4)),
-    ], ids=["apply", "apply_to_matrix"])
-    def test_column_peaks_only_for_huge_operands(self, monkeypatch, product, operand):
+    @pytest.mark.parametrize("entry,shape", [
+        ("factor_tall", (30, 8)), ("factor_complement", (30, 22)), ("factor_auto", (30, 22)),
+        ("apply", (30,)), ("apply_to_matrix", (30, 4)),
+    ])
+    def test_in_range_shifts_only_above_the_limit(self, monkeypatch, entry, shape):
         g = factor_tall(random_matrix(30, 8, seed=38)).reflectors
-        x = np.random.default_rng(39).standard_normal(operand)
-        calls = self._count_peaks(monkeypatch)
-        ordinary = product(g, x)
+        call = {
+            "factor_tall": factor_tall, "factor_complement": factor_complement,
+            "factor_auto": factor_auto, "apply": lambda x: apply(g, x),
+            "apply_to_matrix": lambda x: apply_to_matrix(g, x),
+        }[entry]
+        x = np.random.default_rng(39).standard_normal(shape)
+        calls = self._record_in_range(monkeypatch)
+        call(x)
+        [(same, e, exact)] = calls
+        assert same and e is None and exact
+        calls.clear()
+        columns = x.reshape(30, -1)
+        columns[:, -1] *= 2.0**1010  # the last column; a vector is one column
+        call(x)
+        [(same, e, exact)] = calls
+        assert not same and exact
+        assert np.flatnonzero(np.atleast_1d(e)).tolist() == [columns.shape[1] - 1]
+
+    @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 0), (0, 0)])
+    def test_in_range_not_called_without_a_qr(self, monkeypatch, method, shape):
+        a = random_matrix(*shape, seed=sum(shape))
+        calls = self._record_in_range(monkeypatch)
+        method(a)
+        method(a * 2.0**1010)
         assert calls == []
-        x.flat[5] = 1e308
-        huge = product(g, x)
-        assert calls == [operand]
-        assert np.isfinite(huge).all() and not np.array_equal(huge, ordinary)
 
     @pytest.mark.parametrize("shape", [(9, 4), (10, 9), (30, 22)])
     def test_public_factor_tall_not_reentered(self, monkeypatch, shape):
@@ -816,6 +829,24 @@ class TestOverflow:
         err = np.linalg.norm(np.ldexp(recon[:, 1:2], 1000) - expected)
         assert err <= 1e-15 * np.linalg.norm(expected)
 
+    # The limit itself: a flat peak of exactly 2^1000 is used as it is, and
+    # the next double above it shifts only its own column, by 2^-1.
+    @pytest.mark.parametrize("method,n", [(factor_tall, 8), (factor_complement, 22)])
+    @pytest.mark.parametrize("above", [False, True], ids=["at_limit", "above_limit"])
+    def test_shift_threshold(self, method, n, above):
+        a = random_matrix(30, n, seed=n)
+        a[4, 2] = np.nextafter(2.0**1000, np.inf) if above else 2.0**1000
+        shifted, e = _kernels.in_range(a, _kernels.max_abs(a))
+        if above:
+            assert np.flatnonzero(e).tolist() == [2] and e[2] == 1
+            assert np.array_equal(np.ldexp(shifted, e), a)
+        else:
+            assert shifted is a and e is None
+        assert rel_err(reconstruct_a(method(a)), a) <= 1e-12
+        g = factor_tall(random_matrix(30, 8, seed=63)).reflectors
+        for transpose in (False, True):
+            assert np.isfinite(apply_to_matrix(g, a, transpose)).all()
+
     @pytest.mark.parametrize("method", [factor_tall, factor_complement, factor_auto])
     @pytest.mark.parametrize("m,n,fraction", [(200, 50, 0.99), (30, 22, 0.7), (8, 1, 0.5)])
     def test_near_limit_still_factors(self, m, n, fraction, method):
@@ -1110,7 +1141,7 @@ class TestAsMatrix:
 
     def test_accepts_zero_columns(self):
         a, peak = as_matrix(np.zeros((3, 0)))
-        assert a.shape == (3, 0) and peak.shape == (0,)
+        assert a.shape == (3, 0) and peak == 0.0
 
 
 class TestOrthogonalityDefect:
