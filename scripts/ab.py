@@ -22,13 +22,16 @@ ru_minflt, read around each call), and whether the two sides' outputs were
 bit-identical on every pair (write_factor bytes, product bytes, CLI stdout).
 
 The request kinds: factor_auto at 1000x200, 1500x300, 1000x900, 1200x1000
-and 4096x512 (apply-stream's setup), and at 1000x200 with one column
+and 4096x512 (apply-stream's setup), at 2048x256 and 4000x500 (tall, away
+from the benchmark's shape) and at 1024x1000 (the complement path, whose
+LAPACK buffer is padded at m = 1024), and at 1000x200 with one column
 scaled by 1e305 (the float64 shift path) and with columns graded by
 logspace(-20, 20); apply with 1 and with 64 columns on one 4096x512
 factor; and the CLI, run in-process through cli.main on files written in
 the temporary directory: factor --self-check at 1000x200, whose stdout and
-written file are compared, and apply at 512x64. BLAS runs one thread unless OPENBLAS_NUM_THREADS is set. Nothing
-is written inside the repository.
+written file are compared, and apply at 512x64. BLAS runs one thread
+unless OPENBLAS_NUM_THREADS is set. Nothing is written inside the
+repository.
 """
 
 import os
@@ -206,7 +209,7 @@ def main(argv=None) -> int:
         change = load("bandedhh_change", REPO / "src")
         kinds = {f"factor_auto {m}x{n}": factor_kind(rng(m, n).standard_normal((m, n)))
                  for m, n in ((1000, 200), (1500, 300), (1000, 900), (1200, 1000),
-                              (4096, 512))}
+                              (4096, 512), (2048, 256), (4000, 500), (1024, 1000))}
         a = rng(1000, 200).standard_normal((1000, 200))
         huge = a.copy()
         huge[:, 7] *= 1e305

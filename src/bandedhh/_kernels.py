@@ -24,10 +24,22 @@ band_vt, the layout the plan's blocks use, and needs no T and no plan.
 
 Every QR of the package runs here, through geqrf and orgqr: LAPACK dgeqrf
 and dorgqr, in place, on a buffer the caller owns. An m x n matrix in
-Fortran order is a C-contiguous n x m array h, so the caller writes the
+Fortran order is an n x m array h in C order, so the caller writes the
 matrix transposed into h once and reads R, the reflectors or Q straight
-out of it. np.linalg.qr gives the same bits (the same LAPACK and the same
-workspace) but copies its input twice on the way in and once on the way out.
+out of it. h comes from lapack_buffer: C-contiguous, or the first m columns
+of a C-contiguous n x (m + 8) array when 8 m bytes is a multiple of 4096,
+so that LAPACK's leading dimension is never a multiple of 4 KB (dgeqrf and
+dorgqr ran 5-10% slower at lda 4096 and 512 than at lda + 8). np.linalg.qr
+gives the same bits (the same LAPACK and the same workspace) but copies its
+input twice on the way in and once on the way out.
+
+Every transposing copy of the factor pipelines goes through transpose_into,
+which writes 64 rows of its source at a time. A whole-array transposed copy
+walks one side down its columns, one cache line per row; when rows lie a
+multiple of 4 KB apart, those lines compete for the same cache sets and are
+evicted before their neighbours are read (the 4096 x 512 band form took
+about 5x as long that way), while a 64-row tile stays in cache. Both
+helpers only move data, so every output keeps its bits.
 
 Each block forms V'x before it scales by T, which overflows near half the
 largest double although G is orthogonal. This module holds the one
@@ -54,6 +66,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 BLOCK_SIZE = 32
+TILE_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,15 +160,54 @@ def _lapack(routine, *args) -> None:
         raise np.linalg.LinAlgError(f"{routine.__name__} returned info = {info}")
 
 
+def transpose_into(out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Write x.T into out, TILE_ROWS rows of x at a time, and return out.
+
+    x is any 2-D view, reversed ones included; out is a view of the
+    transposed shape. Only data moves, so out holds x.T bit for bit.
+    """
+    for i in range(0, x.shape[0], TILE_ROWS):
+        out[:, i : i + TILE_ROWS] = x[i : i + TILE_ROWS].T
+    return out
+
+
+def lapack_buffer(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised rows x cols float64 array for geqrf and orgqr.
+
+    It is C-contiguous, unless 8 cols bytes is a multiple of 4096: then it
+    is the first cols columns of a C-contiguous rows x (cols + 8) array, so
+    that its rows lie one 64-byte line more than a multiple of 4 KB apart.
+    """
+    if 8 * cols % 4096:
+        return np.empty((rows, cols))
+    return np.empty((rows, cols + 8))[:, :cols]
+
+
+def _leading(h: np.ndarray) -> tuple[np.ndarray, int]:
+    """The array LAPACK is handed for h, and its leading dimension.
+
+    For a padded lapack_buffer that is the C-contiguous array whose first
+    columns h are; for anything else, h itself with lda = max(1, m), which
+    lapack_lite refuses with LapackError unless it is C-contiguous float64.
+    """
+    n, m = h.shape
+    full = h.base
+    if (not h.flags.c_contiguous and isinstance(full, np.ndarray) and full.flags.c_contiguous
+            and full.strides == h.strides and full.shape[0] == n and full.shape[1] > m
+            and full.ctypes.data == h.ctypes.data):
+        return full, full.shape[1]
+    return h, max(1, m)
+
+
 def geqrf(h: np.ndarray) -> np.ndarray:
     """Householder QR, in place, of the m x n matrix h holds; returns tau.
 
-    h is a C-contiguous float64 n x m array: the m x n matrix in Fortran
-    order, h = a.T for the a factored. Afterwards h holds what
-    np.linalg.qr(a, mode="raw") returns as h, bit for bit: row j is column
-    j of R up to the diagonal, then the tail of reflection j. lapack_lite
-    raises LapackError on a buffer that is not C-contiguous float64, so no
-    layout is ever copied silently; it does not check that h is writeable.
+    h is an n x m float64 array from lapack_buffer (or any C-contiguous
+    one): the m x n matrix in Fortran order, h = a.T for the a factored.
+    Afterwards h holds what np.linalg.qr(a, mode="raw") returns as h, bit
+    for bit: row j is column j of R up to the diagonal, then the tail of
+    reflection j. Every other layout raises lapack_lite's LapackError, so
+    none is ever copied silently; nothing checks that h is writeable.
     numpy's own API tests list numpy.linalg.lapack_lite as private but
     present. Unlike np.linalg.qr, it holds the GIL while LAPACK runs:
     another Python thread advanced for about one switch interval (5 ms)
@@ -164,18 +216,18 @@ def geqrf(h: np.ndarray) -> np.ndarray:
     """
     n, m = h.shape
     tau = np.empty(min(m, n))
-    _lapack(lapack_lite.dgeqrf, m, n, h, max(1, m), tau)
+    _lapack(lapack_lite.dgeqrf, m, n, *_leading(h), tau)
     return tau
 
 
 def orgqr(h: np.ndarray, tau: np.ndarray) -> None:
     """Overwrite geqrf's output h with the first n columns of Q, in place.
 
-    h is n x m with n <= m, as geqrf left it, so afterwards h.T is the Q
-    of np.linalg.qr(a) (mode "reduced"), bit for bit.
+    h is n x m with n <= m, as geqrf left it, in the same buffer, so
+    afterwards h.T is the Q of np.linalg.qr(a) (mode "reduced"), bit for bit.
     """
     n, m = h.shape
-    _lapack(lapack_lite.dorgqr, m, n, len(tau), h, max(1, m), tau)
+    _lapack(lapack_lite.dorgqr, m, n, len(tau), *_leading(h), tau)
 
 
 def raw_blocks(h: np.ndarray, tau: np.ndarray):

@@ -260,7 +260,9 @@ def _tall(a: np.ndarray, peak: float) -> CompactSubspaceFactor:
         return CompactSubspaceFactor(BandedReflectors(np.zeros((n, m - n))), -a[:n], Placement.TOP)
     a, e = _kernels.in_range(a, peak)
     g, h, tau, x = _banded_qr(a)
-    core = np.triu(np.ascontiguousarray(h[:, :n].T)) @ x.T
+    # The transposed copy is freed once triu returns, so only R lives
+    # beside the core during the GEMM.
+    core = np.triu(_kernels.transpose_into(np.empty((n, n)), h[:, :n])) @ x.T
     core[tau == 0.0] *= -1.0  # the rows whose skipped reflection is a sign flip
     return CompactSubspaceFactor(g, _fits(core, e), Placement.TOP)
 
@@ -289,21 +291,27 @@ def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     included, where a[:w] X would turn -0.0 into 0.0.
 
     The block's QR runs in place on one n x n copy of P a[w:] P, which is
-    the rotated block in Fortran order. band is the transpose of a
-    C-contiguous n x m buffer, so band.T is ready for geqrf. X is C-ordered,
-    and so is the GEMM, into a w x n temporary: computed on transposed
-    operands, its last bits differ at 60x25, 200x50 and 1500x300.
+    the rotated block in Fortran order. band is the transpose of an n x m
+    lapack_buffer (padded when m is a multiple of 512), so band.T is ready
+    for geqrf. X is C-ordered, and so is the GEMM, into a w x n temporary:
+    computed on transposed operands, its last bits differ at 60x25, 200x50
+    and 1500x300. The subtraction runs in place in that temporary, which is
+    then written into the band buffer by _kernels.transpose_into, as are R
+    and X: every transposing pass goes 64 rows at a time.
     """
     m, n = a.shape
     w = m - n
-    h = a[w:][::-1, ::-1].copy()
+    h = _kernels.lapack_buffer(n, n)
+    h[...] = a[w:][::-1, ::-1]
     tau = _kernels.geqrf(h)
-    bt = np.empty((n, m))
-    bt[:, w:] = np.triu(h.T)[::-1, ::-1]
+    bt = _kernels.lapack_buffer(n, m)
+    # P triu(h') P, written as the transpose of P tril(h) P
+    _kernels.transpose_into(bt[:, w:], np.tril(h)[::-1, ::-1])
     _kernels.orgqr(h, tau)
-    x = np.ascontiguousarray(h.T[::-1, ::-1])
+    x = _kernels.transpose_into(np.empty((n, n)), h[::-1, ::-1])
     top = a[:w] @ (np.eye(n) - x)
-    np.subtract(a[:w].T, top.T, out=bt[:, :w])
+    np.subtract(a[:w], top, out=top)
+    _kernels.transpose_into(bt[:, :w], top)
     return bt.T, x
 
 
@@ -333,11 +341,12 @@ def _reflectors(h: np.ndarray) -> BandedReflectors:
 def _complement_basis(a: np.ndarray) -> np.ndarray:
     """U2 = H_1 ... H_n (0; I_{m-n}): the last m - n columns of the Q of a.
 
-    The QR runs in place on a.T copied, a in Fortran order, so each WY block
-    of raw_blocks copies contiguous rows of it.
+    The QR runs in place on a.T, a in Fortran order, written into a
+    lapack_buffer in tiles, so each WY block of raw_blocks copies contiguous
+    rows of it.
     """
     m, n = a.shape
-    h = a.T.copy()
+    h = _kernels.transpose_into(_kernels.lapack_buffer(n, m), a)
     tau = _kernels.geqrf(h)
     u2 = np.eye(m, m - n, -n)
     return _kernels.apply_blocks(_kernels.raw_blocks(h, tau), u2, transpose=False)

@@ -933,6 +933,7 @@ def _assert_same_factor(f, g, core):
 _PIN_CASES = {
     "1000x200": (1000, 200, None, 1.0),
     "1500x300": (1500, 300, None, 1.0),
+    "1024x512": (1024, 512, None, 1.0),  # 4 KB rows: both LAPACK buffers padded
     "3x1": (3, 1, None, 1.0),
     "n=1": (50, 1, None, 1.0),
     "m-n=1": (40, 39, None, 1.0),
@@ -960,7 +961,7 @@ class TestViewPipelinePin:
         a = _pin_matrix(case)
         _assert_same_factor(factor_tall(a), *_reference_tall(a))
 
-    @pytest.mark.parametrize("m,n", [(1000, 900), (1200, 1000), (30, 22)])
+    @pytest.mark.parametrize("m,n", [(1000, 900), (1200, 1000), (30, 22), (1024, 1000)])
     def test_complement_matches_copying_pipeline(self, m, n):
         a = random_matrix(m, n, m - n)
         _assert_same_factor(factor_complement(a), *_reference_complement(a))
@@ -1176,17 +1177,20 @@ def _handoff_input(case):
 class TestLapackHandoff:
     # _kernels.geqrf and orgqr run dgeqrf and dorgqr in place on the
     # transposed buffer; np.linalg.qr, which copies around the same calls,
-    # is the reference bit for bit.
+    # is the reference bit for bit. At 512 and 1024 rows of a the buffer is
+    # padded, so LAPACK reads it with lda = m + 8.
     CASES = [(5, 0), (0, 0), (1, 1), (7, 1), (6, 6), (9, 4), "triangular", "-0.0 pivots",
-             "rank 2"]
+             "rank 2", (512, 40), (1024, 96)]
 
     @pytest.mark.parametrize("case", CASES, ids=str)
     def test_matches_numpy_qr(self, case):
         a = _handoff_input(case)
-        n = a.shape[1]
+        m, n = a.shape
         h_ref, tau_ref = np.linalg.qr(a, mode="raw")
         q_ref, r_ref = np.linalg.qr(a)
-        h = a.T.copy()
+        h = _kernels.lapack_buffer(n, m)
+        h[...] = a.T
+        assert h.flags.c_contiguous is (m not in (512, 1024))
         tau = _kernels.geqrf(h)
         assert h.shape == h_ref.shape and np.array_equal(_bits(h), _bits(h_ref))
         assert np.array_equal(_bits(tau), _bits(tau_ref))
@@ -1217,6 +1221,44 @@ class TestLapackHandoff:
         with pytest.raises(LapackError, match="not contiguous"):
             _kernels.orgqr(h, np.zeros(h.shape[0]))
         assert np.array_equal(h, before)
+
+    # A column window that does not start at its array's first column is no
+    # padded buffer, and is refused like any other strided layout.
+    def test_offset_window_raises(self):
+        from numpy.linalg.lapack_lite import LapackError
+
+        h = np.zeros((4, 20))[:, 1:10]
+        with pytest.raises(LapackError, match="not contiguous"):
+            _kernels.geqrf(h)
+        with pytest.raises(LapackError, match="not contiguous"):
+            _kernels.orgqr(h, np.zeros(4))
+        assert not h.any()
+
+    # The padding rule: one 64-byte line on a row of a multiple of 4 KB.
+    @pytest.mark.parametrize("cols,row", [(1, 1), (511, 511), (512, 520), (1000, 1000),
+                                          (1024, 1032), (4096, 4104)])
+    def test_buffer_row_length(self, cols, row):
+        h = _kernels.lapack_buffer(3, cols)
+        assert h.shape == (3, cols) and h.strides == (8 * row, 8)
+
+
+class TestTransposeInto:
+    # Every transposing copy of the pipelines goes 64 rows of its source at
+    # a time; the tiles must cover every row, reversed views included, and
+    # move every bit, -0.0 included.
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("view", ["plain", "reversed"])
+    def test_bits(self, rows, view):
+        x = random_matrix(rows, 9, rows)
+        x[x < -0.5] = -0.0
+        assert (np.signbit(x) & (x == 0.0)).any()
+        if view == "reversed":
+            x = x[::-1, ::-1]
+        out = np.full((11, rows + 3), np.nan)  # written in a strided window
+        assert _kernels.transpose_into(out[1:10, 2 : 2 + rows], x).base is out
+        assert np.array_equal(_bits(out[1:10, 2 : 2 + rows]), _bits(x.T))
+        out[1:10, 2 : 2 + rows] = np.nan
+        assert np.isnan(out).all()
 
 
 class TestNoNumpyQR:
