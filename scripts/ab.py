@@ -24,14 +24,15 @@ bit-identical on every pair (write_factor bytes, product bytes, CLI stdout).
 The request kinds: factor_auto at 1000x200, 1500x300, 1000x900, 1200x1000
 and 4096x512 (apply-stream's setup), at 2048x256 and 4000x500 (tall, away
 from the benchmark's shape) and at 1024x1000 (the complement path, whose
-LAPACK buffer is padded at m = 1024), and at 1000x200 with one column
-scaled by 1e305 (the float64 shift path) and with columns graded by
-logspace(-20, 20); apply with 1 and with 64 columns on one 4096x512
-factor; and the CLI, run in-process through cli.main on files written in
-the temporary directory: factor --self-check at 1000x200, whose stdout and
-written file are compared, and apply at 512x64. BLAS runs one thread
-unless OPENBLAS_NUM_THREADS is set. Nothing is written inside the
-repository.
+LAPACK buffer is padded at m = 1024), at 1000x1000 (square, answered
+without a QR), and at 1000x200 with one column scaled by 1e305 (the
+float64 shift path) and with columns graded by logspace(-20, 20);
+factor_tall and factor_complement, both forced placements, at 600x400;
+apply with 1 and with 64 columns on one 4096x512 factor; and the CLI, run
+in-process through cli.main on files written in the temporary directory:
+factor --self-check at 1000x200, whose stdout and written file are
+compared, and apply at 512x64. BLAS runs one thread unless
+OPENBLAS_NUM_THREADS is set. Nothing is written inside the repository.
 """
 
 import os
@@ -112,9 +113,9 @@ def factor_bytes(pkg, f) -> bytes:
 # A kind is (data, bind): data is the input of every call on both sides;
 # bind(pkg) sets a side up, untimed, and returns (run, render), where
 # run(data) is the timed call and render(result) the bytes to compare.
-def factor_kind(a):
+def factor_kind(a, function: str = "factor_auto"):
     def bind(pkg):
-        return pkg.factor_auto, lambda f: factor_bytes(pkg, f)
+        return getattr(pkg, function), lambda f: factor_bytes(pkg, f)
     return a, bind
 
 
@@ -209,7 +210,11 @@ def main(argv=None) -> int:
         change = load("bandedhh_change", REPO / "src")
         kinds = {f"factor_auto {m}x{n}": factor_kind(rng(m, n).standard_normal((m, n)))
                  for m, n in ((1000, 200), (1500, 300), (1000, 900), (1200, 1000),
-                              (4096, 512), (2048, 256), (4000, 500), (1024, 1000))}
+                              (4096, 512), (2048, 256), (4000, 500), (1024, 1000),
+                              (1000, 1000))}
+        for function in ("factor_tall", "factor_complement"):
+            kinds[f"{function} 600x400"] = factor_kind(rng(600, 400).standard_normal((600, 400)),
+                                                       function)
         a = rng(1000, 200).standard_normal((1000, 200))
         huge = a.copy()
         huge[:, 7] *= 1e305

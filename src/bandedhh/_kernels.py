@@ -48,9 +48,9 @@ float64-range rule, in_range: an input whose flat peak max|x| is at most
 exceeds 2^1000 is shifted by the power of two that brings that peak just
 under it, and every other column keeps its bits. The caller reads the flat
 peak (max_abs) once: a factor call on entry (factor.as_matrix, where it is
-also the finite check), a product in apply_plan. The factor pipelines
-(factor._tall and factor._complement) run on the shifted input and shift
-only the finished core back; apply_plan shifts its product back. Below
+also the finite check), a product in apply_plan. A factor call
+(factor._factor) runs its pipeline on the shifted input and shifts only
+the finished core back; apply_plan shifts its product back. Below
 2^1000 per column, no intermediate of either can overflow: each is bounded
 by about sqrt(m n) 2^1000, since every G has betas in [1, 2], up to
 rounding (BandedReflectors' tail rule). Columns never mix under G, so the

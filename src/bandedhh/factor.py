@@ -55,9 +55,9 @@ def as_matrix(a) -> tuple[np.ndarray, float]:
     NaN/Inf entry; all downstream invariants assume finite arithmetic. The
     peak (_kernels.max_abs, one flat max pass and one min pass) is the one
     read of a for its range: a NaN or Inf entry makes it non-finite, so
-    checking it checks every entry, and the factor pipelines hand it to the
-    float64 shift (_kernels.in_range), which reads a again only when the
-    peak exceeds 2^1000.
+    checking it checks every entry, and _factor hands it to the float64
+    shift (_kernels.in_range), which reads a again only when the peak
+    exceeds 2^1000.
     """
     out = _floats(a, copy=False)
     if out.ndim != 2:
@@ -180,25 +180,34 @@ class CompactSubspaceFactor:
             )
 
 
-def _checked(a, name: str) -> tuple[np.ndarray, float]:
-    """The input of the factor function name, and its peak max|a|.
+def _factor(a, name: str, placement: Placement | None) -> CompactSubspaceFactor:
+    """The factor function name on a; placement None picks TOP when m - n >= n.
 
-    That is as_matrix(a), with m >= n checked after it, so a NaN in a
-    2 x 3 input raises the finite ValueError, not ShapeError.
+    This is the one policy around both pipelines. a goes through as_matrix
+    and then the m >= n check, so a NaN in a 2 x 3 input raises the finite
+    ValueError, not ShapeError. Square and m x 0 input are answered without
+    a QR. Otherwise the pipeline of the placement runs on a brought into
+    float64 range (_kernels.in_range), and its core is shifted back, or a
+    ValueError names the float64 overflow.
     """
     a, peak = as_matrix(a)
-    if a.shape[0] < a.shape[1]:
-        raise ShapeError(f"{name} requires m >= n, got {a.shape[0]} x {a.shape[1]}")
-    return a, peak
-
-
-def _fits(core: np.ndarray, e: np.ndarray | None) -> np.ndarray:
-    """core times 2^e per column (e None: no shift), or a ValueError on float64 overflow."""
+    m, n = a.shape
+    if m < n:
+        raise ShapeError(f"{name} requires m >= n, got {m} x {n}")
+    if placement is None:
+        placement = Placement.TOP if m - n >= n else Placement.BOTTOM
+    top = placement is Placement.TOP
+    if n in (0, m):
+        k = n if top else m - n
+        return CompactSubspaceFactor(BandedReflectors(np.zeros((k, m - k))),
+                                     -a[:n] if top else a[k:], placement)
+    a, e = _kernels.in_range(a, peak)
+    g, core = (_tall if top else _complement)(a)
     with np.errstate(over="ignore"):
         core = core if e is None else np.ldexp(core, e, out=core)
     if not np.isfinite(core).all():
         raise ValueError("the factor of this matrix overflows float64")
-    return core
+    return CompactSubspaceFactor(g, core, placement)
 
 
 def factor_tall(a) -> CompactSubspaceFactor:
@@ -251,20 +260,18 @@ def factor_tall(a) -> CompactSubspaceFactor:
     and B = -a, bit-exactly, and m x 0 input to G = I (no reflections of
     bandwidth m) and an empty B; neither runs a QR.
     """
-    return _tall(*_checked(a, "factor_tall"))
+    return _factor(a, "factor_tall", Placement.TOP)
 
 
-def _tall(a: np.ndarray, peak: float) -> CompactSubspaceFactor:
-    m, n = a.shape
-    if n in (0, m):
-        return CompactSubspaceFactor(BandedReflectors(np.zeros((n, m - n))), -a[:n], Placement.TOP)
-    a, e = _kernels.in_range(a, peak)
+def _tall(a: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
+    """G and the core of a = G (B; 0), for an in-range a with 0 < n < m."""
+    n = a.shape[1]
     g, h, tau, x = _banded_qr(a)
     # The transposed copy is freed once triu returns, so only R lives
     # beside the core during the GEMM.
     core = np.triu(_kernels.transpose_into(np.empty((n, n)), h[:, :n])) @ x.T
     core[tau == 0.0] *= -1.0  # the rows whose skipped reflection is a sign flip
-    return CompactSubspaceFactor(g, _fits(core, e), Placement.TOP)
+    return g, core
 
 
 def _banded_qr(a: np.ndarray):
@@ -391,26 +398,22 @@ def factor_complement(a) -> CompactSubspaceFactor:
     It raises factor_tall's ValueError when that core, or the solve for W,
     overflows float64.
     """
-    return _complement(*_checked(a, "factor_complement"))
+    return _factor(a, "factor_complement", Placement.BOTTOM)
 
 
-def _complement(a: np.ndarray, peak: float) -> CompactSubspaceFactor:
-    m, n = a.shape
-    k = m - n
-    if n in (0, m):
-        return CompactSubspaceFactor(BandedReflectors(np.zeros((k, n))), a[k:], Placement.BOTTOM)
-    a, e = _kernels.in_range(a, peak)
+def _complement(a: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
+    """G and the core of a = G (0; B), for an in-range a with 0 < n < m."""
+    k = a.shape[0] - a.shape[1]
     g = _banded_qr(_complement_basis(a))[0]
     # B = a[k:] - V2 V1^-1 a[:k], from the vanishing top rows of G' a. Only
     # g of the banded QR is kept, so its buffer is freed before the solve,
-    # and V' is freed before the factor copies B. W = V1^-1 a[:k] is not
-    # bounded by a, so an overflow there is left to _fits.
+    # and V' dies on return, before the factor copies B. W = V1^-1 a[:k] is
+    # not bounded by a, so an overflow there is left to _factor.
     vt = _kernels.band_vt(g.free_entries)
     with np.errstate(over="ignore", invalid="ignore"):
         core = vt[:, k:].T @ np.linalg.solve(vt[:, :k].T, a[:k])
         np.subtract(a[k:], core, out=core)
-    del vt
-    return CompactSubspaceFactor(g, _fits(core, e), Placement.BOTTOM)
+    return g, core
 
 
 def factor_auto(a) -> CompactSubspaceFactor:
@@ -419,9 +422,7 @@ def factor_auto(a) -> CompactSubspaceFactor:
     Either way G ends up with at most m/2 vectors of at least m/2 + 1
     nonzero components, so blocked application stays efficient.
     """
-    a, peak = _checked(a, "factor_auto")
-    m, n = a.shape
-    return _tall(a, peak) if m - n >= n else _complement(a, peak)
+    return _factor(a, "factor_auto", None)
 
 
 def reconstruct_a(f: CompactSubspaceFactor) -> np.ndarray:

@@ -21,6 +21,7 @@ from bandedhh._kernels import BlockedWY
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CODE_LINES = README.parent / "scripts" / "code_lines.py"
+UNCOVERED = README.parent / "scripts" / "uncovered.py"
 AB = README.parent / "scripts" / "ab.py"
 
 PUBLIC = {
@@ -121,6 +122,46 @@ def test_code_lines_script(tmp_path):
     assert [name for name, _ in rows[:-1]] == sorted(p.name for p in package.glob("*.py"))
     assert rows[-1][0] == "total"
     assert int(rows[-1][1]) == sum(int(count) for _, count in rows[:-1])
+
+
+# scripts/uncovered.py on a sample package, not on the suite itself: of the
+# statements that must run (no def, class, import or docstring, and an if
+# only by its header), the untaken return and the uncalled method are
+# listed, and a module that never ran is named apart. A tracer already
+# running, as under the script itself, is restored afterwards.
+UNCOVERED_SAMPLE = '''"""Module docstring."""
+import os
+
+
+def f(x):
+    """Function docstring."""
+    if (x
+            and True):
+        return 1
+    return 2
+
+
+class C:
+    """Class docstring."""
+
+    def g(self):
+        return os.sep
+'''
+
+
+def test_uncovered_script(tmp_path):
+    script = runpy.run_path(str(UNCOVERED))
+    assert script["statements"](UNCOVERED_SAMPLE) == [(7, 8), (9, 9), (10, 10), (17, 17)]
+    (tmp_path / "sample.py").write_text(UNCOVERED_SAMPLE)
+    (tmp_path / "unused.py").write_text("x = 1\n")
+    outer = sys.gettrace()
+    result, executed = script["executed_lines"](
+        tmp_path, lambda: runpy.run_path(str(tmp_path / "sample.py"))["f"](True))
+    assert result == 1 and sys.gettrace() is outer
+    assert list(executed) == [tmp_path / "sample.py"]
+    missing, unimported = script["uncovered"](tmp_path, executed)
+    assert missing == ["sample.py:10: return 2", "sample.py:17: return os.sep"]
+    assert unimported == ["unused.py"]
 
 
 # scripts/ab.py: 9 paired ratios give the 2nd and 8th order statistics as the

@@ -401,6 +401,28 @@ class TestFactorAuto:
             f = factor_auto(a)
             assert rel_err(reconstruct_a(f), a) <= 1e-12
 
+    # factor_auto writes the same bytes as the forced function of the
+    # placement it picks: on either side of m - n = n, on the shapes answered
+    # without a QR, and with one column above 2^1000, where the float64
+    # shift runs.
+    @pytest.mark.parametrize("shape,huge", [
+        ((40, 12), False), ((40, 30), False), ((9, 9), False), ((6, 0), False),
+        ((0, 0), False), ((40, 12), True), ((40, 30), True),
+    ], ids=["tall", "near-square", "square", "m x 0", "0 x 0", "tall 2^1010",
+            "near-square 2^1010"])
+    def test_matches_forced_placement(self, shape, huge):
+        m, n = shape
+        a = random_matrix(m, n, seed=m + n)
+        if huge:
+            a[:, 5] *= 2.0**1010
+        f = factor_auto(a)
+        assert f.placement is (Placement.TOP if m - n >= n else Placement.BOTTOM)
+        forced = factor_tall if f.placement is Placement.TOP else factor_complement
+        auto_bytes, forced_bytes = io.BytesIO(), io.BytesIO()
+        write_factor(f, auto_bytes)
+        write_factor(forced(a), forced_bytes)
+        assert auto_bytes.getvalue() == forced_bytes.getvalue()
+
     @pytest.mark.parametrize("shape", [(7, 3), (7, 4), (10, 5), (9, 1), (9, 8)])
     def test_vector_count_and_width_bounds(self, shape):
         # auto never yields more than m/2 vectors, each at least m/2+1 long
@@ -1233,6 +1255,14 @@ class TestLapackHandoff:
         with pytest.raises(LapackError, match="not contiguous"):
             _kernels.orgqr(h, np.zeros(4))
         assert not h.any()
+
+    # An argument LAPACK itself refuses (4 reflectors for 3 columns) comes
+    # back as a negative info and raises LinAlgError. LAPACK's xerbla prints
+    # its own line to stdout as well, which capfd keeps out of the report.
+    def test_illegal_argument_raises(self, capfd):
+        with pytest.raises(np.linalg.LinAlgError, match="dorgqr returned info = -3"):
+            _kernels.orgqr(np.zeros((3, 5)), np.zeros(4))
+        assert "DORGQR" in capfd.readouterr().out
 
     # The padding rule: one 64-byte line on a row of a multiple of 4 KB.
     @pytest.mark.parametrize("cols,row", [(1, 1), (511, 511), (512, 520), (1000, 1000),
