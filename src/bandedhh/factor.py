@@ -188,7 +188,10 @@ def _factor(a, name: str, placement: Placement | None) -> CompactSubspaceFactor:
     ValueError, not ShapeError. Square and m x 0 input are answered without
     a QR. Otherwise the pipeline of the placement runs on a brought into
     float64 range (_kernels.in_range), and its core is shifted back, or a
-    ValueError names the float64 overflow.
+    ValueError names the float64 overflow. Both steps run with overflow
+    and invalid-value warnings off: the finiteness check after them is
+    what turns such a core into that ValueError, so the pipelines are
+    plain arithmetic with no error state of their own.
     """
     a, peak = as_matrix(a)
     m, n = a.shape
@@ -202,8 +205,8 @@ def _factor(a, name: str, placement: Placement | None) -> CompactSubspaceFactor:
         return CompactSubspaceFactor(BandedReflectors(np.zeros((k, m - k))),
                                      -a[:n] if top else a[k:], placement)
     a, e = _kernels.in_range(a, peak)
-    g, core = (_tall if top else _complement)(a)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, core = (_tall if top else _complement)(a)
         core = core if e is None else np.ldexp(core, e, out=core)
     if not np.isfinite(core).all():
         raise ValueError("the factor of this matrix overflows float64")
@@ -264,30 +267,24 @@ def factor_tall(a) -> CompactSubspaceFactor:
 
 
 def _tall(a: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
-    """G and the core of a = G (B; 0), for an in-range a with 0 < n < m."""
-    n = a.shape[1]
-    g, h, tau, x = _banded_qr(a)
-    # The transposed copy is freed once triu returns, so only R lives
-    # beside the core during the GEMM.
-    core = np.triu(_kernels.transpose_into(np.empty((n, n)), h[:, :n])) @ x.T
+    """G and the core of a = G (B; 0), for an in-range a with 0 < n < m.
+
+    _band_basis hands over h, the LAPACK buffer that holds the band form
+    a X, and X. _reflectors runs the banded QR in place on h, so h then
+    holds R up to its diagonal, and returns G and tau. The core is R X',
+    with each row whose reflection LAPACK skipped (tau = 0) negated.
+    """
+    h, x = _band_basis(a)
+    g, tau = _reflectors(h)
+    # The transposed copy of R, n x n like X, is freed once triu returns,
+    # so only R lives beside the core during the GEMM.
+    core = np.triu(_kernels.transpose_into(np.empty_like(x), h[:, : len(x)])) @ x.T
     core[tau == 0.0] *= -1.0  # the rows whose skipped reflection is a sign flip
     return g, core
 
 
-def _banded_qr(a: np.ndarray):
-    """G of a tall a, from the banded QR of its band form, with what _tall reads.
-
-    Returns (g, h, tau, x): the reflectors, geqrf's n x m output and tau,
-    which overwrote the band form a X in place, and X (see _band_basis).
-    """
-    band, x = _band_basis(a)
-    h = band.T
-    tau = _kernels.geqrf(h)
-    return _reflectors(h), h, tau, x
-
-
 def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Band form a X of a tall a, Fortran-ordered, and the orthogonal n x n X.
+    """(h, X): the band form a X of a tall a in a LAPACK buffer, and the n x n X.
 
     With w = m - n and P the reversal, the QR of the rotated bottom block,
     P a[w:]' P = Q R, gives X = P Q P, and a[w:] X = P R' P is upper
@@ -298,13 +295,14 @@ def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     included, where a[:w] X would turn -0.0 into 0.0.
 
     The block's QR runs in place on one n x n copy of P a[w:] P, which is
-    the rotated block in Fortran order. band is the transpose of an n x m
-    lapack_buffer (padded when m is a multiple of 512), so band.T is ready
-    for geqrf. X is C-ordered, and so is the GEMM, into a w x n temporary:
+    the rotated block in Fortran order. h is an n x m lapack_buffer
+    (padded when m is a multiple of 512) holding a X in Fortran order,
+    h = (a X)', ready for the banded QR of _reflectors. X is orthogonal
+    and C-ordered, and so is the GEMM, into a w x n temporary:
     computed on transposed operands, its last bits differ at 60x25, 200x50
     and 1500x300. The subtraction runs in place in that temporary, which is
-    then written into the band buffer by _kernels.transpose_into, as are R
-    and X: every transposing pass goes 64 rows at a time.
+    then written into h by _kernels.transpose_into, as are R and X: every
+    transposing pass goes 64 rows at a time.
     """
     m, n = a.shape
     w = m - n
@@ -319,22 +317,24 @@ def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     top = a[:w] @ (np.eye(n) - x)
     np.subtract(a[:w], top, out=top)
     _kernels.transpose_into(bt[:, :w], top)
-    return bt.T, x
+    return bt, x
 
 
-def _reflectors(h: np.ndarray) -> BandedReflectors:
-    """The reflectors in h, geqrf's output for an m x n band form.
+def _reflectors(h: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
+    """(G, tau) of the banded QR, run in place on the n x m buffer h.
 
-    The band form is zero below row col + m - n; h is that matrix in
-    Fortran order, n x m, as geqrf overwrote it: row i holds column i of R
-    up to the diagonal, then the tail of reflection i. Any layout of h
-    works; geqrf's is C-contiguous, so the skewed read below walks
-    contiguous rows. The first m - n tail entries are the free entries;
-    the rest, h[i, i+1+w:], are structural zeros and exact by
-    construction. The band form comes from input whose columns peak at or
-    below 2^1000, so the QR cannot overflow, and a nonzero below the band
-    can only be a band defect.
+    h holds an m x n band form in Fortran order, as _band_basis returns
+    it; the band form is zero below row col + m - n. _kernels.geqrf
+    overwrites h: row i then holds column i of R up to the diagonal, then
+    the tail of reflection i, and tau marks each reflection LAPACK skipped
+    with 0. h is C-contiguous (or a padded lapack_buffer), so the skewed
+    read below walks contiguous rows. The first m - n tail entries are the
+    free entries; the rest, h[i, i+1+w:], are structural zeros and exact
+    by construction. The band form comes from input whose columns peak at
+    or below 2^1000, so the QR cannot overflow, and a nonzero below the
+    band can only be a band defect.
     """
+    tau = _kernels.geqrf(h)
     n, m = h.shape
     w = m - n
     if np.triu(h[:, w + 1 :]).any():
@@ -342,7 +342,7 @@ def _reflectors(h: np.ndarray) -> BandedReflectors:
     # Free entries of reflection i are h[i, i + 1 : i + 1 + w]: stepping one
     # row and one column per reflection reads them all through one view,
     # whose last entry is h[n - 1, m - 1]. BandedReflectors copies it.
-    return BandedReflectors(as_strided(h[:, 1:], (n, w), (sum(h.strides), h.strides[1])))
+    return BandedReflectors(as_strided(h[:, 1:], (n, w), (sum(h.strides), h.strides[1]))), tau
 
 
 def _complement_basis(a: np.ndarray) -> np.ndarray:
@@ -402,17 +402,21 @@ def factor_complement(a) -> CompactSubspaceFactor:
 
 
 def _complement(a: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
-    """G and the core of a = G (0; B), for an in-range a with 0 < n < m."""
+    """G and the core of a = G (0; B), for an in-range a with 0 < n < m.
+
+    G is _reflectors run on the LAPACK buffer that _band_basis fills from
+    the complement basis U2; only G is kept, and the core comes from one
+    k x k solve.
+    """
     k = a.shape[0] - a.shape[1]
-    g = _banded_qr(_complement_basis(a))[0]
+    g = _reflectors(_band_basis(_complement_basis(a))[0])[0]
     # B = a[k:] - V2 V1^-1 a[:k], from the vanishing top rows of G' a. Only
     # g of the banded QR is kept, so its buffer is freed before the solve,
     # and V' dies on return, before the factor copies B. W = V1^-1 a[:k] is
     # not bounded by a, so an overflow there is left to _factor.
     vt = _kernels.band_vt(g.free_entries)
-    with np.errstate(over="ignore", invalid="ignore"):
-        core = vt[:, k:].T @ np.linalg.solve(vt[:, :k].T, a[:k])
-        np.subtract(a[k:], core, out=core)
+    core = vt[:, k:].T @ np.linalg.solve(vt[:, :k].T, a[:k])
+    np.subtract(a[k:], core, out=core)
     return g, core
 
 

@@ -1045,7 +1045,8 @@ class TestBandBasisEdgeCases:
 
     @staticmethod
     def _check_band(u):
-        band, x = _band_basis(u)
+        h, x = _band_basis(u)
+        band = h.T
         m, n = u.shape
         assert not np.tril(band[m - n :], -1).any()
         assert np.linalg.norm(x.T @ x - np.eye(n)) <= 1e-13 * np.sqrt(n)
@@ -1126,11 +1127,11 @@ class TestInputLayouts:
 
 
 class TestBandLeakCheck:
-    # _reflectors is only ever given the QR of a band form from _band_basis;
-    # a dense matrix would need reflection vectors longer than the band.
+    # _reflectors is only ever given a band form from _band_basis; the QR
+    # of a dense matrix needs reflection vectors longer than the band.
     def test_dense_input_raises(self):
         with pytest.raises(RuntimeError, match="leaked outside the band"):
-            _reflectors(np.linalg.qr(random_matrix(8, 5, 0), mode="raw")[0])
+            _reflectors(np.ascontiguousarray(random_matrix(8, 5, 0).T))
 
     def test_dense_input_raises_under_optimize_flag(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -1138,7 +1139,7 @@ class TestBandLeakCheck:
             "import numpy as np\n"
             "from bandedhh.factor import _reflectors\n"
             "a = np.random.default_rng(0).standard_normal((8, 5))\n"
-            "_reflectors(np.linalg.qr(a, mode='raw')[0])\n"
+            "_reflectors(np.ascontiguousarray(a.T))\n"
         )
         path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
         env = {**os.environ, "PYTHONPATH": path}
