@@ -21,6 +21,15 @@ time in ms and median minor page faults per call (this process's
 ru_minflt, read around each call), and whether the two sides' outputs were
 bit-identical on every pair (write_factor bytes, product bytes, CLI stdout).
 
+An A/A row need not contain 1. Each side is bound once (its package,
+input, factor and plan are built once, the second side last), so a fixed
+difference between the two bindings, such as where a buffer landed, shows
+as a ratio whose interval excludes 1 on identical code: base/base has read
+0.944 and 0.965 on apply 4096x512 with 1 column, 0.955 with 64 columns,
+and 0.974 on cli factor --self-check 1000x200. So read a change/base row
+against its own kind's A/A row, not against 1, and re-run a kind whose
+A/A interval excludes 1 before citing it.
+
 The request kinds: factor_auto at 1000x200, 1500x300, 1000x900, 1200x1000
 and 4096x512 (apply-stream's setup), at 2048x256 and 4000x500 (tall, away
 from the benchmark's shape) and at 1024x1000 (the complement path, whose

@@ -21,12 +21,16 @@ beyond pytest is needed.
 
 import ast
 import os
+import runpy
 import sys
 import threading
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "bandedhh"
+
+# code_lines.py's rule for a docstring line, loaded by path: scripts/ is no package.
+docstring_lines = runpy.run_path(str(Path(__file__).with_name("code_lines.py")))["docstring_lines"]
 
 # Statements that run when their module loads, whatever the tests do;
 # docstrings are skipped separately.
@@ -40,16 +44,10 @@ def statements(source: str) -> list[tuple[int, int]]:
     body, so it counts as run when its test or its iteration ran.
     """
     tree = ast.parse(source)
-    docstrings = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            first = node.body[0] if node.body else None
-            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                docstrings.add(first)
+    docstrings = docstring_lines(tree)
     spans = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt) or isinstance(node, SKIP) or node in docstrings:
+        if not isinstance(node, ast.stmt) or isinstance(node, SKIP) or node.lineno in docstrings:
             continue
         body = getattr(node, "body", None)
         last = max(node.lineno, body[0].lineno - 1) if body else node.end_lineno

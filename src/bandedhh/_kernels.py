@@ -26,12 +26,12 @@ Every QR of the package runs here, through geqrf and orgqr: LAPACK dgeqrf
 and dorgqr, in place, on a buffer the caller owns. An m x n matrix in
 Fortran order is an n x m array h in C order, so the caller writes the
 matrix transposed into h once and reads R, the reflectors or Q straight
-out of it. h comes from lapack_buffer: C-contiguous, or the first m columns
-of a C-contiguous n x (m + 8) array when 8 m bytes is a multiple of 4096,
-so that LAPACK's leading dimension is never a multiple of 4 KB (dgeqrf and
-dorgqr ran 5-10% slower at lda 4096 and 512 than at lda + 8). np.linalg.qr
-gives the same bits (the same LAPACK and the same workspace) but copies its
-input twice on the way in and once on the way out.
+out of it. h comes from lapack_buffer, whose docstring states the one
+padding rule, and LAPACK is handed the array h is a column window of
+(_leading). Without the padding, factor_auto ran 3-5% slower at 4096 x 512,
+6-9% at 4096 x 1024 and 10% at 1024 x 1000 (paired calls, one BLAS
+thread). np.linalg.qr gives the same bits (the same LAPACK and the same
+workspace) but copies its input twice on the way in and once on the way out.
 
 Every transposing copy of the factor pipelines goes through transpose_into,
 which writes 64 rows of its source at a time. A whole-array transposed copy
@@ -109,8 +109,8 @@ def band_vt(tails: np.ndarray) -> np.ndarray:
     *stack, size, w = tails.shape
     # Rows of length size + w + 1 holding [1, tail_j, 0 ...], read back end
     # to end in rows of length size + w, shift row j right by exactly j columns.
-    # The buffer starts on a 64-byte cache line: a 4096x512 plan whose V
-    # stack started 16, 32 or 48 bytes past one applied 2-8% slower.
+    # The buffer starts on a 64-byte cache line: without that, the 4096x512
+    # single-vector apply ran 7-9% slower (paired calls, one BLAS thread).
     shape = (*stack, size, size + w + 1)
     raw = np.empty(math.prod(shape) + 8)
     start = -raw.ctypes.data % 64 // 8
@@ -174,36 +174,38 @@ def transpose_into(out: np.ndarray, x: np.ndarray) -> np.ndarray:
 def lapack_buffer(rows: int, cols: int) -> np.ndarray:
     """An uninitialised rows x cols float64 array for geqrf and orgqr.
 
-    It is C-contiguous, unless 8 cols bytes is a multiple of 4096: then it
-    is the first cols columns of a C-contiguous rows x (cols + 8) array, so
-    that its rows lie one 64-byte line more than a multiple of 4 KB apart.
+    It is the first cols columns of a fresh C-contiguous array that is
+    cols wide, or cols + 8 wide when 8 cols bytes is a multiple of 4096,
+    so that LAPACK's leading dimension, the array's width, is never a
+    multiple of 4 KB: its rows lie one 64-byte line more apart.
     """
-    if 8 * cols % 4096:
-        return np.empty((rows, cols))
-    return np.empty((rows, cols + 8))[:, :cols]
+    pad = 0 if 8 * cols % 4096 else 8
+    return np.empty((rows, cols + pad))[:, :cols]
 
 
 def _leading(h: np.ndarray) -> tuple[np.ndarray, int]:
     """The array LAPACK is handed for h, and its leading dimension.
 
-    For a padded lapack_buffer that is the C-contiguous array whose first
-    columns h are; for anything else, h itself with lda = max(1, m), which
+    When h is a column window of its base, as every lapack_buffer is (same
+    strides, row count and first element), that is the base, with its
+    width as lda. Otherwise it is h itself with lda = max(1, m), which
     lapack_lite refuses with LapackError unless it is C-contiguous float64.
     """
-    n, m = h.shape
     full = h.base
-    if (not h.flags.c_contiguous and isinstance(full, np.ndarray) and full.flags.c_contiguous
-            and full.strides == h.strides and full.shape[0] == n and full.shape[1] > m
-            and full.ctypes.data == h.ctypes.data):
+    # The first elements are compared as one-element slices: reading both
+    # data pointers through ndarray.ctypes took about 5 us, close to a whole
+    # 60 x 25 geqrf.
+    if (isinstance(full, np.ndarray) and full.strides == h.strides
+            and len(full) == len(h) and np.shares_memory(full[:1, :1], h[:1, :1])):
         return full, full.shape[1]
-    return h, max(1, m)
+    return h, max(1, h.shape[1])
 
 
 def geqrf(h: np.ndarray) -> np.ndarray:
     """Householder QR, in place, of the m x n matrix h holds; returns tau.
 
-    h is an n x m float64 array from lapack_buffer (or any C-contiguous
-    one): the m x n matrix in Fortran order, h = a.T for the a factored.
+    h is an n x m float64 lapack_buffer (or any C-contiguous array; see
+    _leading): the m x n matrix in Fortran order, h = a.T for the a factored.
     Afterwards h holds what np.linalg.qr(a, mode="raw") returns as h, bit
     for bit: row j is column j of R up to the diagonal, then the tail of
     reflection j. Every other layout raises lapack_lite's LapackError, so

@@ -1245,12 +1245,17 @@ class TestLapackHandoff:
             _kernels.orgqr(h, np.zeros(h.shape[0]))
         assert np.array_equal(h, before)
 
-    # A column window that does not start at its array's first column is no
-    # padded buffer, and is refused like any other strided layout.
-    def test_offset_window_raises(self):
+    # A column window that does not start at its array's first column, or
+    # does not hold all of its rows, is no padded buffer, and is refused
+    # like any other strided layout.
+    @pytest.mark.parametrize("window", [
+        lambda: np.zeros((4, 20))[:, 1:10],
+        lambda: np.zeros((6, 20))[:4, :9],
+    ], ids=["column offset", "row subset"])
+    def test_offset_window_raises(self, window):
         from numpy.linalg.lapack_lite import LapackError
 
-        h = np.zeros((4, 20))[:, 1:10]
+        h = window()
         with pytest.raises(LapackError, match="not contiguous"):
             _kernels.geqrf(h)
         with pytest.raises(LapackError, match="not contiguous"):
