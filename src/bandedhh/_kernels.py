@@ -179,24 +179,26 @@ def lapack_buffer(rows: int, cols: int) -> np.ndarray:
     so that LAPACK's leading dimension, the array's width, is never a
     multiple of 4 KB: its rows lie one 64-byte line more apart.
     """
-    pad = 0 if 8 * cols % 4096 else 8
-    return np.empty((rows, cols + pad))[:, :cols]
+    return np.empty((rows, cols if 8 * cols % 4096 else cols + 8))[:, :cols]
 
 
 def _leading(h: np.ndarray) -> tuple[np.ndarray, int]:
     """The array LAPACK is handed for h, and its leading dimension.
 
     When h is a column window of its base, as every lapack_buffer is (same
-    strides, row count and first element), that is the base, with its
-    width as lda. Otherwise it is h itself with lda = max(1, m), which
-    lapack_lite refuses with LapackError unless it is C-contiguous float64.
+    dtype, strides, row count and first element), that is the base, with
+    its width as lda. Otherwise it is h itself with lda = max(1, m), which
+    lapack_lite refuses with LapackError unless it is C-contiguous native
+    float64.
     """
     full = h.base
-    # The first elements are compared as one-element slices: reading both
-    # data pointers through ndarray.ctypes took about 5 us, close to a whole
+    # One-element slices share memory whenever they overlap, and two aligned
+    # ones overlap only where they start at the same byte. Reading both data
+    # pointers through ndarray.ctypes took about 5 us, close to a whole
     # 60 x 25 geqrf.
-    if (isinstance(full, np.ndarray) and full.strides == h.strides
-            and len(full) == len(h) and np.shares_memory(full[:1, :1], h[:1, :1])):
+    if (isinstance(full, np.ndarray) and full.dtype == h.dtype and full.strides == h.strides
+            and len(full) == len(h) and full.flags.aligned and h.flags.aligned
+            and np.shares_memory(full[:1, :1], h[:1, :1])):
         return full, full.shape[1]
     return h, max(1, h.shape[1])
 

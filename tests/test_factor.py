@@ -1245,20 +1245,34 @@ class TestLapackHandoff:
             _kernels.orgqr(h, np.zeros(h.shape[0]))
         assert np.array_equal(h, before)
 
-    # A column window that does not start at its array's first column, or
-    # does not hold all of its rows, is no padded buffer, and is refused
-    # like any other strided layout.
-    @pytest.mark.parametrize("window", [
-        lambda: np.zeros((4, 20))[:, 1:10],
-        lambda: np.zeros((6, 20))[:4, :9],
-    ], ids=["column offset", "row subset"])
-    def test_offset_window_raises(self, window):
+    # A column window that does not start at its array's first column,
+    # skips columns or does not hold all of its rows is no padded buffer,
+    # and is refused like any other strided layout. So is a view of the
+    # array's memory that starts inside one of its elements (of an aligned
+    # array, or an aligned view of a misaligned one), or that reads it as
+    # another dtype or byte order, C-contiguous or not: LAPACK is never
+    # handed the array.
+    @pytest.mark.parametrize("window,error", [
+        (lambda: np.zeros((4, 20))[:, 1:10], "not contiguous"),
+        (lambda: np.zeros((6, 20))[:4, :9], "not contiguous"),
+        (lambda: np.zeros((4, 20))[:, ::2], "not contiguous"),
+        (lambda: np.ndarray((4, 9), buffer=np.zeros((4, 20)), offset=4, strides=(160, 8)),
+         "not contiguous"),
+        (lambda: np.ndarray((4, 9), buffer=np.ndarray((4, 20), buffer=bytearray(644), offset=4),
+                            offset=4, strides=(160, 8)), "not contiguous"),
+        (lambda: np.zeros((4, 20)).view(np.int64)[:, :9], "not contiguous"),
+        (lambda: np.zeros((4, 9)).view(np.int64), "not of type"),
+        (lambda: np.zeros((4, 9)).view(">f8"), "non-native byte order"),
+    ], ids=["column offset", "row subset", "column stride", "inside an element",
+            "misaligned base", "int64 window", "int64 view", "big-endian view"])
+    def test_offset_window_raises(self, window, error):
         from numpy.linalg.lapack_lite import LapackError
 
         h = window()
-        with pytest.raises(LapackError, match="not contiguous"):
+        assert isinstance(h.base, np.ndarray) and h.base.dtype == np.float64
+        with pytest.raises(LapackError, match=error):
             _kernels.geqrf(h)
-        with pytest.raises(LapackError, match="not contiguous"):
+        with pytest.raises(LapackError, match=error):
             _kernels.orgqr(h, np.zeros(4))
         assert not h.any()
 
