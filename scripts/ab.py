@@ -31,13 +31,14 @@ against its own kind's A/A row, not against 1, and re-run a kind whose
 A/A interval excludes 1 before citing it.
 
 The request kinds: factor_auto at 1000x200, 1500x300, 1000x900, 1200x1000
-and 4096x512 (apply-stream's setup), at 2048x256 and 4000x500 (tall, away
-from the benchmark's shape) and at 1024x1000 (the complement path, whose
-LAPACK buffer is padded at m = 1024), at 1000x1000 (square, answered
-without a QR), at 200000x4 and 100000x10 (tall and skinny, where the
-band basis copies narrow rows in many small tiles), and at 1000x200
-with one column scaled by 1e305 (the float64 shift path) and with
-columns graded by logspace(-20, 20);
+and 4096x512 (apply-stream's setup), at 60x25, 200x50 and 512x64
+(small, where the fixed cost of each call shows), at 2048x256 and
+4000x500 (tall, away from the benchmark's shape) and at 1024x1000 (the
+complement path, whose LAPACK buffer is padded at m = 1024), at
+1000x1000 (square, answered without a QR), at 200000x4 and 100000x10
+(tall and skinny, where the band basis copies narrow rows in many small
+tiles), and at 1000x200 with one column scaled by 1e305 (the float64
+shift path) and with columns graded by logspace(-20, 20);
 factor_tall and factor_complement, both forced placements, at 600x400;
 apply with 1 and with 64 columns on one 4096x512 factor; and the CLI, run
 in-process through cli.main on files written in the temporary directory:
@@ -221,7 +222,8 @@ def main(argv=None) -> int:
         change = load("bandedhh_change", REPO / "src")
         kinds = {f"factor_auto {m}x{n}": factor_kind(rng(m, n).standard_normal((m, n)))
                  for m, n in ((1000, 200), (1500, 300), (1000, 900), (1200, 1000),
-                              (4096, 512), (2048, 256), (4000, 500), (1024, 1000),
+                              (4096, 512), (60, 25), (200, 50), (512, 64),
+                              (2048, 256), (4000, 500), (1024, 1000),
                               (1000, 1000), (200000, 4), (100000, 10))}
         for function in ("factor_tall", "factor_complement"):
             kinds[f"{function} 600x400"] = factor_kind(rng(600, 400).standard_normal((600, 400)),

@@ -19,19 +19,22 @@ triangular T (b (b + 1) / 2 nonzeros) per block, held while the factor lives.
 
 The same block loop also applies the unbanded reflectors of a LAPACK QR
 (raw_blocks), whose vectors run to the last row; factor_complement forms
-its complement basis that way. It takes the V of its own reflectors from
-band_vt, the layout the plan's blocks use, and needs no T and no plan.
+its complement basis that way. Its core solve takes V' of its own banded
+reflectors from band_vt, the layout the plan's blocks use, and needs no T
+and no plan.
 
 Every QR of the package runs here, through geqrf and orgqr: LAPACK dgeqrf
-and dorgqr, in place, on a buffer the caller owns. An m x n matrix in
-Fortran order is an n x m array h in C order, so the caller writes the
-matrix transposed into h once and reads R, the reflectors or Q straight
-out of it. h comes from lapack_buffer, whose docstring states the one
-padding rule, and LAPACK is handed the array h is a column window of
-(_leading). Without the padding, factor_auto ran 3-5% slower at 4096 x 512,
-6-9% at 4096 x 1024 and 10% at 1024 x 1000 (paired calls, one BLAS
-thread). np.linalg.qr gives the same bits (the same LAPACK and the same
-workspace) but copies its input twice on the way in and once on the way out.
+and dorgqr, in place, on the array the caller allocated. An m x n matrix
+in Fortran order is an n x m array in C order, so the caller writes the
+matrix transposed into the first m columns of an array h from
+lapack_buffer, once, and reads R, the reflectors or Q straight out of
+them. The caller hands over h itself and names m; LAPACK gets h with its
+width as the leading dimension, and lapack_buffer's docstring states the
+one padding rule that width follows. Without the padding, factor_auto ran
+3-5% slower at 4096 x 512, 6-9% at 4096 x 1024 and 10% at 1024 x 1000
+(paired calls, one BLAS thread). np.linalg.qr gives the same bits (the
+same LAPACK and the same workspace) but copies its input twice on the way
+in and once on the way out.
 
 Every transposing copy of the factor pipelines goes through transpose_into,
 which writes 64 rows of its source at a time. A whole-array transposed copy
@@ -151,11 +154,16 @@ def plan(g, block_size: int = BLOCK_SIZE) -> tuple[BlockedWY, ...]:
 
 
 def _lapack(routine, *args) -> None:
-    """routine(*args, work, lwork, info) after a workspace query, or LinAlgError."""
+    """routine(*args, work, lwork, info) after a workspace query, or LinAlgError.
+
+    An argument LAPACK refuses fails the query already, which then leaves
+    work unset, so its info is checked before work is read.
+    """
     work = np.empty(1)
-    routine(*args, work, -1, 0)
-    lwork = max(1, int(work[0]))
-    info = routine(*args, np.empty(lwork), lwork, 0)["info"]
+    info = routine(*args, work, -1, 0)["info"]
+    if info == 0:
+        lwork = max(1, int(work[0]))
+        info = routine(*args, np.empty(lwork), lwork, 0)["info"]
     if info != 0:
         raise np.linalg.LinAlgError(f"{routine.__name__} returned info = {info}")
 
@@ -172,66 +180,49 @@ def transpose_into(out: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def lapack_buffer(rows: int, cols: int) -> np.ndarray:
-    """An uninitialised rows x cols float64 array for geqrf and orgqr.
+    """A fresh uninitialised C-contiguous float64 array for rows x cols data.
 
-    It is the first cols columns of a fresh C-contiguous array that is
-    cols wide, or cols + 8 wide when 8 cols bytes is a multiple of 4096,
-    so that LAPACK's leading dimension, the array's width, is never a
-    multiple of 4 KB: its rows lie one 64-byte line more apart.
+    It is cols wide, or cols + 8 wide when 8 cols bytes is a multiple of
+    4096, so that LAPACK's leading dimension, the array's width, is never
+    a multiple of 4 KB: its rows lie one 64-byte line more apart. The
+    caller writes and reads the data through [:, :cols] and hands geqrf
+    and orgqr the whole array.
     """
-    return np.empty((rows, cols if 8 * cols % 4096 else cols + 8))[:, :cols]
+    return np.empty((rows, cols if 8 * cols % 4096 else cols + 8))
 
 
-def _leading(h: np.ndarray) -> tuple[np.ndarray, int]:
-    """The array LAPACK is handed for h, and its leading dimension.
+def geqrf(h: np.ndarray, m: int) -> np.ndarray:
+    """Householder QR, in place, of the m x n matrix in h; returns tau.
 
-    When h is a column window of its base, as every lapack_buffer is (same
-    dtype, strides, row count and first element), that is the base, with
-    its width as lda. Otherwise it is h itself with lda = max(1, m), which
-    lapack_lite refuses with LapackError unless it is C-contiguous native
-    float64.
+    h is C-contiguous native float64, n x m or wider, usually from
+    lapack_buffer, and h[:, :m] holds the matrix in Fortran order: h[:, :m]
+    = a.T for the a factored. LAPACK gets h itself, with M = m, N = len(h)
+    and lda = h.shape[1], and leaves every column from m on as it was.
+    Afterwards h[:, :m] holds what np.linalg.qr(a, mode="raw") returns as
+    h, bit for bit: row j is column j of R up to the diagonal, then the
+    tail of reflection j. lapack_lite refuses every other layout or dtype
+    with LapackError, so none is ever copied silently, and LAPACK refuses
+    m > h.shape[1] (dgeqrf info -4) with LinAlgError; nothing checks that
+    h is writeable. numpy's own API tests list numpy.linalg.lapack_lite as
+    private but present. Unlike np.linalg.qr, it holds the GIL while
+    LAPACK runs: another Python thread advanced for about one switch
+    interval (5 ms) during a 290 ms dgeqrf at 4096x1024, and through the
+    whole of np.linalg.qr.
     """
-    full = h.base
-    # One-element slices share memory whenever they overlap, and two aligned
-    # ones overlap only where they start at the same byte. Reading both data
-    # pointers through ndarray.ctypes took about 5 us, close to a whole
-    # 60 x 25 geqrf.
-    if (isinstance(full, np.ndarray) and full.dtype == h.dtype and full.strides == h.strides
-            and len(full) == len(h) and full.flags.aligned and h.flags.aligned
-            and np.shares_memory(full[:1, :1], h[:1, :1])):
-        return full, full.shape[1]
-    return h, max(1, h.shape[1])
-
-
-def geqrf(h: np.ndarray) -> np.ndarray:
-    """Householder QR, in place, of the m x n matrix h holds; returns tau.
-
-    h is an n x m float64 lapack_buffer (or any C-contiguous array; see
-    _leading): the m x n matrix in Fortran order, h = a.T for the a factored.
-    Afterwards h holds what np.linalg.qr(a, mode="raw") returns as h, bit
-    for bit: row j is column j of R up to the diagonal, then the tail of
-    reflection j. Every other layout raises lapack_lite's LapackError, so
-    none is ever copied silently; nothing checks that h is writeable.
-    numpy's own API tests list numpy.linalg.lapack_lite as private but
-    present. Unlike np.linalg.qr, it holds the GIL while LAPACK runs:
-    another Python thread advanced for about one switch interval (5 ms)
-    during a 290 ms dgeqrf at 4096x1024, and through the whole of
-    np.linalg.qr.
-    """
-    n, m = h.shape
+    n = len(h)
     tau = np.empty(min(m, n))
-    _lapack(lapack_lite.dgeqrf, m, n, *_leading(h), tau)
+    _lapack(lapack_lite.dgeqrf, m, n, h, h.shape[1], tau)
     return tau
 
 
-def orgqr(h: np.ndarray, tau: np.ndarray) -> None:
-    """Overwrite geqrf's output h with the first n columns of Q, in place.
+def orgqr(h: np.ndarray, m: int, tau: np.ndarray) -> None:
+    """Overwrite geqrf's output in h with the first n columns of Q, in place.
 
-    h is n x m with n <= m, as geqrf left it, in the same buffer, so
-    afterwards h.T is the Q of np.linalg.qr(a) (mode "reduced"), bit for bit.
+    h and m are as geqrf took them, with n = len(h) <= m, so afterwards
+    h[:, :m].T is the Q of np.linalg.qr(a) (mode "reduced"), bit for bit.
+    LAPACK refuses m > h.shape[1] (dorgqr info -5) with LinAlgError.
     """
-    n, m = h.shape
-    _lapack(lapack_lite.dorgqr, m, n, len(tau), *_leading(h), tau)
+    _lapack(lapack_lite.dorgqr, m, len(h), len(tau), h, h.shape[1], tau)
 
 
 def raw_blocks(h: np.ndarray, tau: np.ndarray):

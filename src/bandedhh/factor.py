@@ -269,13 +269,13 @@ def factor_tall(a) -> CompactSubspaceFactor:
 def _tall(a: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
     """G and the core of a = G (B; 0), for an in-range a with 0 < n < m.
 
-    _band_basis hands over h, the LAPACK buffer that holds the band form
-    a X, and X. _reflectors runs the banded QR in place on h, so h then
-    holds R up to its diagonal, and returns G and tau. The core is R X',
-    with each row whose reflection LAPACK skipped (tau = 0) negated.
+    _band_basis hands over h, the LAPACK buffer whose first m columns hold
+    the band form a X, and X. _reflectors runs the banded QR in place on h,
+    so h then holds R up to its diagonal, and returns G and tau. The core
+    is R X', with each row whose reflection LAPACK skipped (tau = 0) negated.
     """
     h, x = _band_basis(a)
-    g, tau = _reflectors(h)
+    g, tau = _reflectors(h, len(a))
     # The transposed copy of R, n x n like X, is freed once triu returns,
     # so only R lives beside the core during the GEMM.
     core = np.triu(_kernels.transpose_into(np.empty_like(x), h[:, : len(x)])) @ x.T
@@ -295,10 +295,10 @@ def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     included, where a[:w] X would turn -0.0 into 0.0.
 
     The block's QR runs in place on one n x n copy of P a[w:] P, which is
-    the rotated block in Fortran order. h is an n x m lapack_buffer
-    (padded when m is a multiple of 512) holding a X in Fortran order,
-    h = (a X)', ready for the banded QR of _reflectors. X is orthogonal
-    and C-ordered, and so is the GEMM, into a w x n temporary:
+    the rotated block in Fortran order. h is the whole lapack_buffer for
+    n x m data, whose first m columns hold a X in Fortran order, h[:, :m]
+    = (a X)', ready for the banded QR of _reflectors. X is orthogonal and
+    C-ordered, and so is the GEMM, into a w x n temporary:
     computed on transposed operands, its last bits differ at 60x25, 200x50
     and 1500x300. The subtraction runs in place in that temporary, which is
     then written into h by _kernels.transpose_into, as are R and X: every
@@ -307,37 +307,37 @@ def _band_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, n = a.shape
     w = m - n
     h = _kernels.lapack_buffer(n, n)
-    h[...] = a[w:][::-1, ::-1]
-    tau = _kernels.geqrf(h)
+    block = h[:, :n]
+    block[...] = a[w:][::-1, ::-1]
+    tau = _kernels.geqrf(h, n)
     bt = _kernels.lapack_buffer(n, m)
-    # P triu(h') P, written as the transpose of P tril(h) P
-    _kernels.transpose_into(bt[:, w:], np.tril(h)[::-1, ::-1])
-    _kernels.orgqr(h, tau)
-    x = _kernels.transpose_into(np.empty((n, n)), h[::-1, ::-1])
+    # P triu(block') P, written as the transpose of P tril(block) P
+    _kernels.transpose_into(bt[:, w:m], np.tril(block)[::-1, ::-1])
+    _kernels.orgqr(h, n, tau)
+    x = _kernels.transpose_into(np.empty((n, n)), block[::-1, ::-1])
     top = a[:w] @ (np.eye(n) - x)
     np.subtract(a[:w], top, out=top)
     _kernels.transpose_into(bt[:, :w], top)
     return bt, x
 
 
-def _reflectors(h: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
-    """(G, tau) of the banded QR, run in place on the n x m buffer h.
+def _reflectors(h: np.ndarray, m: int) -> tuple[BandedReflectors, np.ndarray]:
+    """(G, tau) of the banded QR, run in place on the n x m matrix in h.
 
-    h holds an m x n band form in Fortran order, as _band_basis returns
-    it; the band form is zero below row col + m - n. _kernels.geqrf
-    overwrites h: row i then holds column i of R up to the diagonal, then
+    h[:, :m] holds an m x n band form in Fortran order, as _band_basis
+    returns it; the band form is zero below row col + m - n. _kernels.geqrf
+    overwrites it: row i then holds column i of R up to the diagonal, then
     the tail of reflection i, and tau marks each reflection LAPACK skipped
-    with 0. h is C-contiguous (or a padded lapack_buffer), so the skewed
-    read below walks contiguous rows. The first m - n tail entries are the
-    free entries; the rest, h[i, i+1+w:], are structural zeros and exact
-    by construction. The band form comes from input whose columns peak at
+    with 0. h is C-contiguous, so the skewed read below walks contiguous
+    rows. The first m - n tail entries are the free entries; the rest,
+    h[i, i+1+w:m], are structural zeros and exact by construction. The band form comes from input whose columns peak at
     or below 2^1000, so the QR cannot overflow, and a nonzero below the
     band can only be a band defect.
     """
-    tau = _kernels.geqrf(h)
-    n, m = h.shape
+    tau = _kernels.geqrf(h, m)
+    n = len(h)
     w = m - n
-    if np.triu(h[:, w + 1 :]).any():
+    if np.triu(h[:, w + 1 : m]).any():
         raise RuntimeError("reflection vector leaked outside the band")
     # Free entries of reflection i are h[i, i + 1 : i + 1 + w]: stepping one
     # row and one column per reflection reads them all through one view,
@@ -348,15 +348,16 @@ def _reflectors(h: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
 def _complement_basis(a: np.ndarray) -> np.ndarray:
     """U2 = H_1 ... H_n (0; I_{m-n}): the last m - n columns of the Q of a.
 
-    The QR runs in place on a.T, a in Fortran order, written into a
-    lapack_buffer in tiles, so each WY block of raw_blocks copies contiguous
-    rows of it.
+    The QR runs in place on a.T, a in Fortran order, written in tiles into
+    the first m columns of a lapack_buffer, so each WY block of raw_blocks
+    copies contiguous rows of them.
     """
     m, n = a.shape
-    h = _kernels.transpose_into(_kernels.lapack_buffer(n, m), a)
-    tau = _kernels.geqrf(h)
+    h = _kernels.lapack_buffer(n, m)
+    _kernels.transpose_into(h[:, :m], a)
+    tau = _kernels.geqrf(h, m)
     u2 = np.eye(m, m - n, -n)
-    return _kernels.apply_blocks(_kernels.raw_blocks(h, tau), u2, transpose=False)
+    return _kernels.apply_blocks(_kernels.raw_blocks(h[:, :m], tau), u2, transpose=False)
 
 
 def factor_complement(a) -> CompactSubspaceFactor:
@@ -409,7 +410,7 @@ def _complement(a: np.ndarray) -> tuple[BandedReflectors, np.ndarray]:
     k x k solve.
     """
     k = a.shape[0] - a.shape[1]
-    g = _reflectors(_band_basis(_complement_basis(a))[0])[0]
+    g = _reflectors(_band_basis(_complement_basis(a))[0], len(a))[0]
     # B = a[k:] - V2 V1^-1 a[:k], from the vanishing top rows of G' a. Only
     # g of the banded QR is kept, so its buffer is freed before the solve,
     # and V' dies on return, before the factor copies B. W = V1^-1 a[:k] is

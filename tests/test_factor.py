@@ -1046,8 +1046,8 @@ class TestBandBasisEdgeCases:
     @staticmethod
     def _check_band(u):
         h, x = _band_basis(u)
-        band = h.T
         m, n = u.shape
+        band = h[:, :m].T
         assert not np.tril(band[m - n :], -1).any()
         assert np.linalg.norm(x.T @ x - np.eye(n)) <= 1e-13 * np.sqrt(n)
         return band, x
@@ -1131,7 +1131,7 @@ class TestBandLeakCheck:
     # of a dense matrix needs reflection vectors longer than the band.
     def test_dense_input_raises(self):
         with pytest.raises(RuntimeError, match="leaked outside the band"):
-            _reflectors(np.ascontiguousarray(random_matrix(8, 5, 0).T))
+            _reflectors(np.ascontiguousarray(random_matrix(8, 5, 0).T), 8)
 
     def test_dense_input_raises_under_optimize_flag(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -1139,7 +1139,7 @@ class TestBandLeakCheck:
             "import numpy as np\n"
             "from bandedhh.factor import _reflectors\n"
             "a = np.random.default_rng(0).standard_normal((8, 5))\n"
-            "_reflectors(np.ascontiguousarray(a.T))\n"
+            "_reflectors(np.ascontiguousarray(a.T), 8)\n"
         )
         path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
         env = {**os.environ, "PYTHONPATH": path}
@@ -1201,7 +1201,9 @@ class TestLapackHandoff:
     # _kernels.geqrf and orgqr run dgeqrf and dorgqr in place on the
     # transposed buffer; np.linalg.qr, which copies around the same calls,
     # is the reference bit for bit. At 512 and 1024 rows of a the buffer is
-    # padded, so LAPACK reads it with lda = m + 8.
+    # padded, so LAPACK reads it with lda = m + 8 and must leave the padding,
+    # NaN here, as it was. So is the (0, 0) case's, 8 wide since 0 is a
+    # multiple of 4096; no pipeline asks for 0 columns.
     CASES = [(5, 0), (0, 0), (1, 1), (7, 1), (6, 6), (9, 4), "triangular", "-0.0 pivots",
              "rank 2", (512, 40), (1024, 96)]
 
@@ -1211,20 +1213,24 @@ class TestLapackHandoff:
         m, n = a.shape
         h_ref, tau_ref = np.linalg.qr(a, mode="raw")
         q_ref, r_ref = np.linalg.qr(a)
-        h = _kernels.lapack_buffer(n, m)
+        full = _kernels.lapack_buffer(n, m)
+        assert full.shape == (n, m + 8 if m in (0, 512, 1024) else m)
+        full[:, m:] = np.nan
+        h = full[:, :m]
         h[...] = a.T
-        assert h.flags.c_contiguous is (m not in (512, 1024))
-        tau = _kernels.geqrf(h)
+        tau = _kernels.geqrf(full, m)
+        assert np.isnan(full[:, m:]).all()
         assert h.shape == h_ref.shape and np.array_equal(_bits(h), _bits(h_ref))
         assert np.array_equal(_bits(tau), _bits(tau_ref))
         assert np.array_equal(_bits(np.triu(h.T[:n])), _bits(r_ref))
-        _kernels.orgqr(h, tau)
+        _kernels.orgqr(full, m, tau)
+        assert np.isnan(full[:, m:]).all()
         assert np.array_equal(_bits(h.T), _bits(q_ref))
 
     def test_triangular_input_is_skipped(self):
         a = _handoff_input("triangular")
         h = a.T.copy()
-        assert not _kernels.geqrf(h).any()
+        assert not _kernels.geqrf(h, 8).any()
         assert np.array_equal(_bits(h), _bits(a.T))
 
     # lapack_lite refuses any buffer that is not C-contiguous, and leaves it
@@ -1240,18 +1246,18 @@ class TestLapackHandoff:
         h = layout(random_matrix(9, 4, 45))
         before = h.copy()
         with pytest.raises(LapackError, match="not contiguous"):
-            _kernels.geqrf(h)
+            _kernels.geqrf(h, h.shape[1])
         with pytest.raises(LapackError, match="not contiguous"):
-            _kernels.orgqr(h, np.zeros(h.shape[0]))
+            _kernels.orgqr(h, h.shape[1], np.zeros(h.shape[0]))
         assert np.array_equal(h, before)
 
-    # A column window that does not start at its array's first column,
-    # skips columns or does not hold all of its rows is no padded buffer,
-    # and is refused like any other strided layout. So is a view of the
-    # array's memory that starts inside one of its elements (of an aligned
-    # array, or an aligned view of a misaligned one), or that reads it as
-    # another dtype or byte order, C-contiguous or not: LAPACK is never
-    # handed the array.
+    # LAPACK is handed the view it is given, never the array behind it. So
+    # a column window that does not start at its array's first column,
+    # skips columns or does not hold all of its rows is refused like any
+    # other strided layout. So is a view of the array's memory that starts
+    # inside one of its elements (of an aligned array, or an aligned view
+    # of a misaligned one), or that reads it as another dtype or byte
+    # order, C-contiguous or not.
     @pytest.mark.parametrize("window,error", [
         (lambda: np.zeros((4, 20))[:, 1:10], "not contiguous"),
         (lambda: np.zeros((6, 20))[:4, :9], "not contiguous"),
@@ -1271,25 +1277,37 @@ class TestLapackHandoff:
         h = window()
         assert isinstance(h.base, np.ndarray) and h.base.dtype == np.float64
         with pytest.raises(LapackError, match=error):
-            _kernels.geqrf(h)
+            _kernels.geqrf(h, 9)
         with pytest.raises(LapackError, match=error):
-            _kernels.orgqr(h, np.zeros(4))
+            _kernels.orgqr(h, 9, np.zeros(4))
         assert not h.any()
 
-    # An argument LAPACK itself refuses (4 reflectors for 3 columns) comes
-    # back as a negative info and raises LinAlgError. LAPACK's xerbla prints
-    # its own line to stdout as well, which capfd keeps out of the report.
+    # An argument LAPACK itself refuses (4 reflectors for 3 columns, or m
+    # wider than the array, lda < m) comes back as a negative info and
+    # raises LinAlgError, leaving the array as it was. The wide m fails the
+    # workspace query already, and dgeqrf then leaves the workspace size
+    # unset, so the query's info must raise before any workspace is read.
+    # LAPACK's xerbla prints its own line to stdout as well, which capfd
+    # keeps out of the report.
     def test_illegal_argument_raises(self, capfd):
+        h = np.zeros((3, 5))
         with pytest.raises(np.linalg.LinAlgError, match="dorgqr returned info = -3"):
-            _kernels.orgqr(np.zeros((3, 5)), np.zeros(4))
+            _kernels.orgqr(h, 5, np.zeros(4))
         assert "DORGQR" in capfd.readouterr().out
+        with pytest.raises(np.linalg.LinAlgError, match=r"^dgeqrf returned info = -4$"):
+            _kernels.geqrf(h, 9)
+        assert "DGEQRF" in capfd.readouterr().out
+        with pytest.raises(np.linalg.LinAlgError, match=r"^dorgqr returned info = -5$"):
+            _kernels.orgqr(h, 9, np.zeros(3))
+        assert "DORGQR" in capfd.readouterr().out
+        assert not h.any()
 
     # The padding rule: one 64-byte line on a row of a multiple of 4 KB.
     @pytest.mark.parametrize("cols,row", [(1, 1), (511, 511), (512, 520), (1000, 1000),
                                           (1024, 1032), (4096, 4104)])
     def test_buffer_row_length(self, cols, row):
         h = _kernels.lapack_buffer(3, cols)
-        assert h.shape == (3, cols) and h.strides == (8 * row, 8)
+        assert h.shape == (3, row) and h.flags.c_contiguous
 
 
 class TestTransposeInto:
